@@ -343,12 +343,6 @@ func (p *Process) Isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte) 
 	return p.isend(proc, dst, tag, ctx, data, 0, false)
 }
 
-// IsendRail is Isend with a multirail placement hint: 0 lets the backend's
-// strategy place the transfer, k > 0 pins it to rail k-1 (see Request.Rail).
-func (p *Process) IsendRail(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int) *Request {
-	return p.isend(proc, dst, tag, ctx, data, rail, false)
-}
-
 // IsendPooled is Isend returning a pooled transient request: the caller
 // must register exactly one completion callback and never touch the
 // request after that callback has run (the nonblocking-collective engine's
@@ -357,7 +351,9 @@ func (p *Process) IsendPooled(proc *vtime.Proc, dst int, tag, ctx int32, data []
 	return p.isend(proc, dst, tag, ctx, data, 0, !p.cfg.NoPooling)
 }
 
-// IsendRailPooled is IsendPooled carrying a multirail placement hint.
+// IsendRailPooled is IsendPooled carrying a multirail placement hint: 0
+// lets the backend's strategy place the transfer, k > 0 pins it to rail
+// k-1 (see Request.Rail).
 func (p *Process) IsendRailPooled(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int) *Request {
 	return p.isend(proc, dst, tag, ctx, data, rail, !p.cfg.NoPooling)
 }

@@ -214,8 +214,8 @@ func TestTwoLevelAlltoallFabric(t *testing.T) {
 	}
 }
 
-// TestNewBuilderRoundShapes extends the deadlock-freedom invariant to the
-// tuned and two-level algorithm set.
+// TestNewBuilderRoundShapes extends the round-shape check to the tuned and
+// two-level algorithm set.
 func TestNewBuilderRoundShapes(t *testing.T) {
 	x := make([]float64, 40)
 	data := make([]byte, 4096)
@@ -331,7 +331,7 @@ func TestRebind(t *testing.T) {
 		scheds[r] = Build(Key{Op: OpBcast, Algo: AlgoScatterAllgather, Root: 0},
 			mkArgs(bufs1, r))
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 30) })
+	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 30) })
 	for r := 0; r < n; r++ {
 		if bufs1[r][50] != byte(50)*3+1 {
 			t.Fatalf("first run: rank %d wrong", r)
@@ -342,7 +342,7 @@ func TestRebind(t *testing.T) {
 	for r := 0; r < n; r++ {
 		scheds[r].Rebind(mkArgs(bufs1, r).BufArgs(), mkArgs(bufs2, r).BufArgs())
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 31) })
+	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 31) })
 	for r := 0; r < n; r++ {
 		for i := range bufs2[r] {
 			if bufs2[r][i] != byte(i)*3+2 {
@@ -373,14 +373,14 @@ func TestRebindAllreduce(t *testing.T) {
 	for r := 0; r < n; r++ {
 		scheds[r] = BuildAllreduceRabenseifner(r, n, v1[r], OpSum)
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 32) })
+	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 32) })
 
 	for r := 0; r < n; r++ {
 		old := Args{Rank: r, Size: n, X: v1[r], Op: OpSum}.BufArgs()
 		new := Args{Rank: r, Size: n, X: v2[r], Op: OpMax}.BufArgs()
 		scheds[r].Rebind(old, new)
 	}
-	runAll(t, n, func(p *peer) { ExecBlocking(p, scheds[p.Rank()], 33) })
+	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 33) })
 	for r := 0; r < n; r++ {
 		for i := range v2[r] {
 			if v2[r][i] != float64(n-1+i) { // max over ranks of (r+i)

@@ -281,8 +281,8 @@ func cpf(x []float64) []float64 { return append([]float64(nil), x...) }
 var confStripe Striping
 
 // confExec builds every rank's schedule on the test goroutine (asserting
-// the round-shape deadlock-freedom invariant), executes them over the
-// fabric, and returns the per-rank outputs read by out.
+// the round shape), executes them over the fabric, and returns the per-rank
+// outputs read by out.
 func confExec(t *testing.T, label string, reg Registration, np int,
 	mkArgs func(rank int) Args, out func(rank int) rankOut) []rankOut {
 	t.Helper()
@@ -295,7 +295,7 @@ func confExec(t *testing.T, label string, reg Registration, np int,
 		checkRoundShape(t, scheds[r], fmt.Sprintf("%s/r%d", label, r))
 	}
 	runConf(t, np, func(p *peer) rankOut {
-		ExecBlocking(p, scheds[p.rank], confTag)
+		runSched(p, scheds[p.rank], confTag)
 		return rankOut{}
 	})
 	outs := make([]rankOut, np)

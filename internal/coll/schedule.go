@@ -1,23 +1,18 @@
 package coll
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "sort"
 
 // This file expresses the collective algorithm set as *schedules*: per-rank
 // programs of rounds, each round holding point-to-point transfers (send/recv
-// prims) followed by local data movement (copy/reduce/decode prims). The same
-// schedule drives two executors:
-//
-//   - ExecBlocking walks the rounds synchronously over a PtPt substrate —
-//     this is the classic blocking collective path and produces exactly the
-//     SendT/RecvT/SendRecvT call sequence of the historical implementations;
-//   - the nonblocking engine in internal/nbc issues a round's transfers as
-//     nonblocking requests and advances to the next round from the progress
-//     engine (PIOMan) when they complete, which is what lets a collective
-//     overlap with computation (libNBC-style, progressed per §3.3).
+// prims) followed by local data movement (copy/reduce/decode prims). One
+// executor runs them: the engine in internal/nbc posts all of a round's
+// transfers as nonblocking requests and, once they complete, runs the local
+// prims and issues the next round. Who issues it is the only difference
+// between the two collective flavours — the calling thread for a blocking
+// collective, the progress engine (PIOMan) for a nonblocking one, which is
+// what lets it overlap with computation (libNBC-style, progressed per §3.3).
+// Since every transfer of a round is in flight at once, a round may mix any
+// number of sends and receives.
 //
 // Rounds sequence only the *local* rank: matching between ranks is by
 // (source, tag) as usual, so peers may run ahead by a round; their traffic
@@ -69,9 +64,9 @@ type Prim struct {
 	// to rail k-1, and -w < 0 asks the transport to stripe the payload
 	// across the first w rails (nmad forces the rendezvous path and
 	// water-fills the bytes over those rails). The striped builders stamp
-	// the negative form on large sends (see stripe.go); executors forward
-	// the hint when the substrate is rail-aware (RailPtPt) and drop it
-	// otherwise, so the hint never changes what data moves — only which
+	// the negative form on large sends (see stripe.go); the engine forwards
+	// the hint to the transport, whose shared-memory and single-rail paths
+	// ignore it, so the hint never changes what data moves — only which
 	// wires it moves on.
 	Rail int
 }
@@ -120,70 +115,6 @@ func RunLocal(pr *Prim) {
 		BytesF64(pr.AccF64, pr.In)
 	case PrimCopyF64:
 		copy(pr.AccF64, pr.SrcF64)
-	}
-}
-
-// ExecBlocking runs the schedule synchronously over p with the given tag.
-// A round holding exactly one send and one recv becomes a SendRecvT exchange
-// (deadlock-free); otherwise sends are issued before receives.
-func ExecBlocking(p PtPt, s *Schedule, tag int32) {
-	ExecBlockingRec(p, s, tag, nil)
-}
-
-// ExecBlockingRec is ExecBlocking with per-round trace slices recorded on
-// rec's rounds track (nil rec records nothing).
-func ExecBlockingRec(p PtPt, s *Schedule, tag int32, rec *trace.Recorder) {
-	rp, railOK := p.(RailPtPt)
-	name := ""
-	if rec.Enabled() {
-		name = s.Key.Op.String() + "/" + s.Key.Algo.String()
-	}
-	for ri := range s.Rounds {
-		start := rec.Now()
-		rd := &s.Rounds[ri]
-		var send, recv *Prim
-		multi := false
-		for i := range rd.Comm {
-			pr := &rd.Comm[i]
-			if pr.Kind == PrimSend {
-				if send != nil {
-					multi = true
-				}
-				send = pr
-			} else {
-				if recv != nil {
-					multi = true
-				}
-				recv = pr
-			}
-		}
-		if !multi && send != nil && recv != nil {
-			if railOK && send.Rail != 0 {
-				rp.SendRecvRailT(send.Peer, SendPayload(send), recv.Peer, recv.Buf, tag, send.Rail)
-			} else {
-				p.SendRecvT(send.Peer, SendPayload(send), recv.Peer, recv.Buf, tag)
-			}
-		} else {
-			for i := range rd.Comm {
-				if pr := &rd.Comm[i]; pr.Kind == PrimSend {
-					if railOK && pr.Rail != 0 {
-						rp.SendRailT(pr.Peer, tag, SendPayload(pr), pr.Rail)
-					} else {
-						p.SendT(pr.Peer, tag, SendPayload(pr))
-					}
-				}
-			}
-			for i := range rd.Comm {
-				if pr := &rd.Comm[i]; pr.Kind == PrimRecv {
-					p.RecvT(pr.Peer, tag, pr.Buf)
-				}
-			}
-		}
-		for i := range rd.Local {
-			RunLocal(&rd.Local[i])
-		}
-		rec.Complete("round", name, trace.TidRounds, start,
-			trace.Int64("round", int64(ri)))
 	}
 }
 

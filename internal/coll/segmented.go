@@ -5,10 +5,11 @@ package coll
 // per-segment transfers so segment k+1 moves while segment k is being
 // forwarded or reduced on the next rank. The schedule model needs no new
 // primitive kinds for this — segmentation is purely a round-program shape —
-// which is the point: the same schedules execute blocking (ExecBlocking
-// turns each send+recv round into a SendRecvT exchange) and nonblocking,
-// where every per-segment round is another in-flight operation for PIOMan
-// to progress. That is exactly the paper's overlap story: the more
+// which is the point: the engine posts a round's send and receive together,
+// so both directions of the pipe move concurrently whether the caller
+// (blocking) or PIOMan (nonblocking) issues the next round, and every
+// per-segment round is another in-flight operation for the progress engine
+// to advance. That is exactly the paper's overlap story: the more
 // independent transfers the progress engine can see, the more of the
 // collective advances while the application computes.
 //
@@ -21,8 +22,8 @@ package coll
 //     streams;
 //   - BuildBcastSegBinomial: the segmented binomial tree — segments flow
 //     down the binomial tree back to back, with each interior node's
-//     receive of segment k+1 overlapped (SendRecvT) with its first forward
-//     of segment k;
+//     receive of segment k+1 overlapped (posted in the same round) with its
+//     first forward of segment k;
 //   - BuildAllreduceSegRing: the segmented ring allreduce — a ring
 //     reduce-scatter over per-rank windows followed by a ring allgather
 //     (prefixSums windows, as the vector builders use), each window moved
@@ -52,7 +53,7 @@ func segBounds(n, seg int) []int {
 // BuildBcastChain compiles the pipelined chain broadcast: ranks order
 // themselves root, root+1, ..., root-1 and each forwards segment k to its
 // successor while receiving segment k+1 from its predecessor (one
-// SendRecvT round per segment once the pipe is full). The critical path
+// send+recv round per segment once the pipe is full). The critical path
 // carries n·(1 + (p-2)/S) bytes instead of the binomial tree's n·log2(p),
 // which is why the chain wins for large payloads despite its p-1 latency
 // terms.
@@ -92,10 +93,10 @@ func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Strip
 // BuildBcastSegBinomial compiles the segmented binomial broadcast: the
 // usual binomial tree (over root-relative ranks), but segments stream down
 // it back to back — an interior node forwards segment k to its subtrees
-// while already receiving segment k+1 from its parent (the receive rides
-// the first child round as a SendRecvT). Latency stays logarithmic like
-// the monolithic binomial tree, but a node's children stop waiting for the
-// whole payload to land before the forwarding starts.
+// while already receiving segment k+1 from its parent (the receive is
+// posted in the first child round, together with that send). Latency stays
+// logarithmic like the monolithic binomial tree, but a node's children stop
+// waiting for the whole payload to land before the forwarding starts.
 func BuildBcastSegBinomial(rank, size, root int, data []byte, seg int) *Schedule {
 	return BuildBcastSegBinomialStriped(rank, size, root, data, seg, Striping{})
 }

@@ -36,9 +36,8 @@ func TestSegBounds(t *testing.T) {
 	}
 }
 
-// TestSegmentedRoundShapes: every segmented builder keeps the blocking
-// executor's deadlock-freedom invariant (a mixed round holds exactly one
-// send and one recv) at every rank count, root and segment size.
+// TestSegmentedRoundShapes: every segmented builder keeps only transfers in
+// its rounds' Comm lists at every rank count, root and segment size.
 func TestSegmentedRoundShapes(t *testing.T) {
 	data := make([]byte, 200)
 	x := make([]float64, 37)

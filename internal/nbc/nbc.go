@@ -1,23 +1,29 @@
-// Package nbc is a schedule-based nonblocking-collectives engine in the
-// spirit of libNBC: a collective is compiled (by the builders in
-// internal/coll) into per-rank rounds of {send, recv, copy, reduce}
-// primitives, and an Op executes those rounds incrementally over the CH3
-// nonblocking point-to-point layer.
+// Package nbc is a schedule-based collectives engine in the spirit of
+// libNBC: a collective is compiled (by the builders in internal/coll) into
+// per-rank rounds of {send, recv, copy, reduce} primitives, and an Op
+// executes those rounds over the CH3 nonblocking point-to-point layer,
+// posting every transfer of a round at once. It is the one collective
+// executor: blocking and nonblocking collectives differ only in who issues
+// round k+1.
 //
-// Progression rides the PIOMan progress authority of the paper:
+//   - Blocking (Run): the calling application thread posts each round,
+//     waits in the progress manager until its transfers complete, and
+//     issues the next round itself, as an MPI_Bcast call does.
+//   - Nonblocking (Start): round 0 is issued inline by the application
+//     thread (the MPI_I* call); when a round's transfers complete, the next
+//     round is posted as a deferred pioman task. Under the PIOMan regime
+//     the background progress thread picks it up on an idle core — the
+//     collective advances while the application computes, which is
+//     precisely the overlap §3.3 promises. Without PIOMan the task runs at
+//     the next Progress pass an application thread performs inside an MPI
+//     call (Wait/Test), reproducing the no-overlap behaviour of
+//     progress-less stacks.
 //
-//   - round 0 is issued inline by the application thread (the MPI_I* call);
-//   - when a round's transfers complete, the next round is posted as a
-//     deferred pioman task. Under the PIOMan regime the background progress
-//     thread picks it up on an idle core — the collective advances while the
-//     application computes, which is precisely the overlap §3.3 promises.
-//     Without PIOMan the task runs at the next Progress pass an application
-//     thread performs inside an MPI call (Wait/Test), reproducing the
-//     no-overlap behaviour of progress-less stacks.
-//
-// Matching isolation: the engine tags every transfer with (op sequence,
-// round) on a context of its own, so concurrently outstanding collectives —
-// and the blocking collectives sharing the communicator — never cross-match.
+// Matching isolation: the engine tags every transfer with the op's
+// sequence number on a context of its own, so concurrently outstanding
+// collectives never cross-match. Blocking and nonblocking ops share the
+// sequence, which MPI's rule that every rank issues a communicator's
+// collectives in the same order keeps consistent across ranks.
 package nbc
 
 import (
@@ -128,12 +134,15 @@ type Op struct {
 	round   int
 	pending int // outstanding transfers of the current round (+1 issue guard)
 	done    bool
+	caller  bool // driven by a blocking Run: the caller issues every round
 
-	// cb / taskFn are the per-op closures of the hot path (transfer
-	// completion callback, deferred-round task), built once per Op struct so
+	// cb / taskFn / roundDone are the per-op closures of the hot path
+	// (transfer completion callback, deferred-round task, the blocking
+	// caller's per-round wait predicate), built once per Op struct so
 	// recycling does not re-allocate them.
-	cb     func()
-	taskFn func(*vtime.Proc)
+	cb        func()
+	taskFn    func(*vtime.Proc)
+	roundDone func() bool
 
 	// Trace state: the async-operation id spanning start→completion, the
 	// op/algo display name, and the current round's start time.
@@ -159,10 +168,11 @@ func (e *Engine) getOp() *Op {
 			op.eng.bgRounds.Inc()
 			op.issueRounds(p)
 		}
+		op.roundDone = func() bool { return op.pending == 0 }
 		e.opMisses.Inc()
 	}
 	op.gen++
-	op.done = false
+	op.done, op.caller = false, false
 	op.round, op.pending = 0, 0
 	op.tid = 0
 	return op
@@ -196,6 +206,27 @@ func (e *Engine) Start(proc *vtime.Proc, s *coll.Schedule) *Op {
 // the op completes — possibly synchronously, before StartDone returns. The
 // schedule cache uses it to release a persistent schedule for rebinding.
 func (e *Engine) StartDone(proc *vtime.Proc, s *coll.Schedule, onDone func()) *Op {
+	op := e.begin(s, onDone)
+	op.issueRounds(proc)
+	return op
+}
+
+// Run executes s to completion on the calling proc — the blocking
+// collectives' executor. The caller posts each whole round, blocks in the
+// progress manager until the round's transfers complete, runs its local
+// prims and issues the next round itself; nothing is deferred to the
+// progress engine. onDone runs once at completion, as for StartDone.
+func (e *Engine) Run(proc *vtime.Proc, s *coll.Schedule, onDone func()) {
+	op := e.begin(s, onDone)
+	op.caller = true
+	for op.issueRounds(proc); !op.done; op.issueRounds(proc) {
+		e.mgr.WaitUntil(proc, op.roundDone)
+		op.finishRound()
+	}
+}
+
+// begin acquires an op for s and stamps its sequence number and trace span.
+func (e *Engine) begin(s *coll.Schedule, onDone func()) *Op {
 	op := e.getOp()
 	op.sched, op.seq, op.onDone = s, e.nextSeq&0x7fffffff, onDone
 	e.nextSeq++
@@ -205,7 +236,6 @@ func (e *Engine) StartDone(proc *vtime.Proc, s *coll.Schedule, onDone func()) *O
 		op.tid = e.rec.AsyncBegin("nbc", op.name,
 			trace.Int64("rounds", int64(len(s.Rounds))))
 	}
-	op.issueRounds(proc)
 	return op
 }
 
@@ -256,11 +286,16 @@ func (op *Op) issueRounds(proc *vtime.Proc) {
 
 // transferDone runs when one transfer of the current round completes. It may
 // run in engine context (a NIC completion event) or in progress context (a
-// poll pass); both are safe since it only mutates op state and defers the
-// next round to the progress engine.
+// poll pass); both are safe since it only mutates op state and either wakes
+// the blocked caller or defers the next round to the progress engine.
 func (op *Op) transferDone() {
 	op.pending--
 	if op.pending > 0 {
+		return
+	}
+	if op.caller {
+		// The blocked caller finishes the round and issues the next.
+		op.eng.mgr.Completed(op.eng.shard)
 		return
 	}
 	op.finishRound()
@@ -292,6 +327,7 @@ func (op *Op) complete() {
 		return
 	}
 	op.done = true
+	caller := op.caller
 	op.eng.completed.Inc()
 	if op.tid != 0 {
 		op.eng.rec.AsyncEnd("nbc", op.name, op.tid)
@@ -310,6 +346,9 @@ func (op *Op) complete() {
 	}
 	// Wake anything blocked on the manager. The op is done — no progression
 	// work remains — so multi-worker managers broadcast completion directly
-	// instead of paying a worker an empty sweep for the re-broadcast.
-	op.eng.mgr.Completed(op.eng.shard)
+	// instead of paying a worker an empty sweep for the re-broadcast. A
+	// blocking op completes on its own caller, who has nobody to wake.
+	if !caller {
+		op.eng.mgr.Completed(op.eng.shard)
+	}
 }

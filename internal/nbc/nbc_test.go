@@ -118,14 +118,24 @@ func (s *fakeSide) deliver(src int, tag int32, data []byte) {
 // complete rank 0 at Start while other ranks still need progress.
 func runOps(t *testing.T, n int, pio bool, build func(rank int) *coll.Schedule) *fakeNet {
 	t.Helper()
+	return runDriven(t, n, pio, build, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule) {
+		op := side.eng.Start(p, s)
+		side.mgr.WaitUntil(p, op.Done)
+	})
+}
+
+// runDriven is runOps with the per-rank execution supplied by drive, which
+// must return only once the rank's op has completed.
+func runDriven(t *testing.T, n int, pio bool, build func(rank int) *coll.Schedule,
+	drive func(side *fakeSide, p *vtime.Proc, s *coll.Schedule)) *fakeNet {
+	t.Helper()
 	e := vtime.NewEngine()
 	net := newFakeNet(e, n, 500*vtime.Nanosecond, pio)
 	for r := 0; r < n; r++ {
 		r := r
 		e.Spawn(fmt.Sprintf("app%d", r), func(p *vtime.Proc) {
 			side := net.sides[r]
-			op := side.eng.Start(p, build(r))
-			side.mgr.WaitUntil(p, op.Done)
+			drive(side, p, build(r))
 			net.sides[0].mgr.Notify()
 			if r == 0 {
 				side.mgr.WaitUntil(p, func() bool {
@@ -210,6 +220,43 @@ func TestEngineRoundsDeferredToProgress(t *testing.T) {
 		}
 		if s.eng.BGRounds() == 0 {
 			t.Fatalf("rank %d: no rounds issued from progress context", r)
+		}
+	}
+}
+
+// TestEngineRunCallerDriven: a blocking Run issues every round from the
+// calling proc — no deferred progress task, under either progress regime —
+// computes the same result as the nonblocking drive, and fires onDone once.
+func TestEngineRunCallerDriven(t *testing.T) {
+	const n, m = 5, 8
+	for _, pio := range []bool{false, true} {
+		vecs := make([][]float64, n)
+		for r := range vecs {
+			vecs[r] = make([]float64, m)
+			for i := range vecs[r] {
+				vecs[r][i] = float64(r + i*3)
+			}
+		}
+		dones := make([]int, n)
+		net := runDriven(t, n, pio, func(rank int) *coll.Schedule {
+			return coll.BuildAllreduce(rank, n, vecs[rank], coll.OpSum)
+		}, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule) {
+			side.eng.Run(p, s, func() { dones[side.rank]++ })
+		})
+		for r, s := range net.sides {
+			if s.eng.Completed() != 1 || dones[r] != 1 {
+				t.Fatalf("pio=%v rank %d: Completed = %d, onDone ran %d times",
+					pio, r, s.eng.Completed(), dones[r])
+			}
+			if s.eng.BGRounds() != 0 {
+				t.Fatalf("pio=%v rank %d: %d rounds issued from progress context",
+					pio, r, s.eng.BGRounds())
+			}
+			for i := 0; i < m; i++ {
+				if want := float64(n*(n-1)/2 + n*i*3); vecs[r][i] != want {
+					t.Fatalf("pio=%v rank %d elem %d = %g, want %g", pio, r, i, vecs[r][i], want)
+				}
+			}
 		}
 	}
 }

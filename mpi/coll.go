@@ -15,70 +15,10 @@ import (
 // vs Rabenseifner allreduce, Bruck vs ring allgather, flat vs two-level),
 // and the per-communicator schedule cache reuses the compiled schedule when
 // the same shape repeats — persistent-collective semantics: compile once,
-// rebind buffers, re-execute. Blocking and nonblocking paths share both the
-// selection and the cache.
-
-// Per-operation tags on the blocking-collective context.
-const (
-	tagBarrier int32 = iota
-	tagBcast
-	tagAllreduce
-	tagReduce
-	tagAllgather
-	tagAlltoall
-	tagGather
-	tagScatter
-	tagAlltoallv
-	tagAllgatherv
-	tagGatherv
-	tagScatterv
-	tagReduceScatter
-)
-
-// SendT / RecvT / SendRecvT implement coll.PtPt on the collective context.
-func (c *Comm) SendT(dst int, tag int32, data []byte) {
-	if dst == c.rank {
-		panic("mpi: collective self-send")
-	}
-	r := c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, data)
-	c.mgr.WaitUntil(c.proc, r.Done)
-}
-
-// RecvT receives on the collective context.
-func (c *Comm) RecvT(src int, tag int32, buf []byte) int {
-	r := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, buf)
-	c.mgr.WaitUntil(c.proc, r.Done)
-	return r.Stat.Len
-}
-
-// SendRecvT performs a concurrent exchange on the collective context.
-func (c *Comm) SendRecvT(dst int, sdata []byte, src int, rbuf []byte, tag int32) int {
-	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
-	sr := c.p.Isend(c.proc, c.world(dst), tag, c.collCtx, sdata)
-	c.mgr.WaitUntil(c.proc, func() bool { return rr.Done() && sr.Done() })
-	return rr.Stat.Len
-}
-
-// SendRailT / SendRecvRailT implement coll.RailPtPt: the striped schedules'
-// rail hints ride the CH3 request into the backend (rail encoding as on
-// coll.Prim.Rail — 0 auto, k > 0 pins rail k-1; shared-memory and
-// single-rail paths ignore it).
-func (c *Comm) SendRailT(dst int, tag int32, data []byte, rail int) {
-	if dst == c.rank {
-		panic("mpi: collective self-send")
-	}
-	r := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, data, rail)
-	c.mgr.WaitUntil(c.proc, r.Done)
-}
-
-// SendRecvRailT performs a concurrent exchange whose send half carries a
-// rail placement hint.
-func (c *Comm) SendRecvRailT(dst int, sdata []byte, src int, rbuf []byte, tag int32, rail int) int {
-	rr := c.p.Irecv(c.proc, c.world(src), tag, c.collCtx, rbuf)
-	sr := c.p.IsendRail(c.proc, c.world(dst), tag, c.collCtx, sdata, rail)
-	c.mgr.WaitUntil(c.proc, func() bool { return rr.Done() && sr.Done() })
-	return rr.Stat.Len
-}
+// rebind buffers, re-execute. Blocking and nonblocking paths share the
+// selection, the cache and the internal/nbc engine that executes the
+// schedule: a blocking collective drives the rounds itself (run), a
+// nonblocking one leaves all but round 0 to the progress engine (nbcStart).
 
 // twoLevelApplies reports whether the topology-aware hierarchical variants
 // apply to a communicator with the given node map: requested by config,
@@ -100,8 +40,9 @@ func twoLevelApplies(cfg *Config, nodes []int) bool {
 }
 
 // sched selects the algorithm, then compiles or rebinds the schedule via the
-// per-communicator cache. The returned release function must be called when
-// the execution finishes (the nonblocking path defers it to completion).
+// per-communicator cache. The returned release function must run when the
+// execution finishes: both paths hand it to the engine as the op's
+// completion callback.
 func (c *Comm) sched(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
 	a.Rank, a.Size = c.rank, len(c.group)
 	if c.twoLvl {
@@ -159,30 +100,31 @@ func (c *Comm) schedViews(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) 
 
 // ---- blocking collectives ----------------------------------------------------
 
+// run executes a compiled schedule to completion on the calling rank: the
+// nbc engine's caller-driven mode, where this thread posts each round and
+// waits for it before issuing the next. release runs at completion.
+func (c *Comm) run(s *coll.Schedule, release func()) {
+	c.engine().Run(c.proc, s, release)
+}
+
 // Barrier blocks until all ranks reach it.
 func (c *Comm) Barrier() {
 	defer c.span("Barrier")()
-	s, release := c.sched(coll.OpBarrier, coll.Args{})
-	coll.ExecBlockingRec(c, s, tagBarrier, c.rec)
-	release()
+	c.run(c.sched(coll.OpBarrier, coll.Args{}))
 }
 
 // Bcast distributes data (in place) from root.
 func (c *Comm) Bcast(root int, data []byte) {
 	defer c.span("Bcast")()
 	c.checkRoot("Bcast", root)
-	s, release := c.sched(coll.OpBcast, coll.Args{Root: root, Data: data})
-	coll.ExecBlockingRec(c, s, tagBcast, c.rec)
-	release()
+	c.run(c.sched(coll.OpBcast, coll.Args{Root: root, Data: data}))
 }
 
 // AllreduceF64 combines x elementwise across ranks, in place.
 func (c *Comm) AllreduceF64(x []float64, op coll.Op) {
 	defer c.span("AllreduceF64")()
 	c.checkOp("AllreduceF64", op)
-	s, release := c.sched(coll.OpAllreduce, coll.Args{X: x, Op: op})
-	coll.ExecBlockingRec(c, s, tagAllreduce, c.rec)
-	release()
+	c.run(c.sched(coll.OpAllreduce, coll.Args{X: x, Op: op}))
 }
 
 // ReduceF64 combines x into root's x (clobbered elsewhere).
@@ -190,36 +132,28 @@ func (c *Comm) ReduceF64(root int, x []float64, op coll.Op) {
 	defer c.span("ReduceF64")()
 	c.checkRoot("ReduceF64", root)
 	c.checkOp("ReduceF64", op)
-	s, release := c.sched(coll.OpReduce, coll.Args{Root: root, X: x, Op: op})
-	coll.ExecBlockingRec(c, s, tagReduce, c.rec)
-	release()
+	c.run(c.sched(coll.OpReduce, coll.Args{Root: root, X: x, Op: op}))
 }
 
 // Allgather collects each rank's block into out[r].
 func (c *Comm) Allgather(mine []byte, out [][]byte) {
 	defer c.span("Allgather")()
 	c.checkAllgather("Allgather", mine, out)
-	s, release := c.schedViews(coll.OpAllgather, coll.Args{Mine: mine, Out: out})
-	coll.ExecBlockingRec(c, s, tagAllgather, c.rec)
-	release()
+	c.run(c.schedViews(coll.OpAllgather, coll.Args{Mine: mine, Out: out}))
 }
 
 // Alltoall exchanges send[r] → rank r into recv[s].
 func (c *Comm) Alltoall(send, recv [][]byte) {
 	defer c.span("Alltoall")()
 	c.checkAlltoall("Alltoall", send, recv)
-	s, release := c.schedViews(coll.OpAlltoall, coll.Args{Send: send, Recv: recv})
-	coll.ExecBlockingRec(c, s, tagAlltoall, c.rec)
-	release()
+	c.run(c.schedViews(coll.OpAlltoall, coll.Args{Send: send, Recv: recv}))
 }
 
 // Gather collects blocks at root (out[r] is filled on root only).
 func (c *Comm) Gather(root int, mine []byte, out [][]byte) {
 	defer c.span("Gather")()
 	c.checkGather("Gather", root, mine, out)
-	s, release := c.schedViews(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out})
-	coll.ExecBlockingRec(c, s, tagGather, c.rec)
-	release()
+	c.run(c.schedViews(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out}))
 }
 
 // Scatter distributes blocks[r] from root to rank r's buf (MPI_Scatter;
@@ -227,9 +161,7 @@ func (c *Comm) Gather(root int, mine []byte, out [][]byte) {
 func (c *Comm) Scatter(root int, blocks [][]byte, buf []byte) {
 	defer c.span("Scatter")()
 	c.checkScatter("Scatter", root, blocks, buf)
-	s, release := c.schedViews(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf})
-	coll.ExecBlockingRec(c, s, tagScatter, c.rec)
-	release()
+	c.run(c.schedViews(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf}))
 }
 
 // ---- vector (per-rank count) collectives -------------------------------------
@@ -247,9 +179,7 @@ func (c *Comm) Scatter(root int, blocks [][]byte, buf []byte) {
 func (c *Comm) Alltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Alltoallv")()
 	a := c.alltoallvArgs("Alltoallv", sbuf, scounts, sdispls, rbuf, rcounts, rdispls)
-	s, release := c.sched(coll.OpAlltoallv, a)
-	coll.ExecBlockingRec(c, s, tagAlltoallv, c.rec)
-	release()
+	c.run(c.sched(coll.OpAlltoallv, a))
 }
 
 // Ialltoallv starts a nonblocking variable-size alltoall exchange.
@@ -265,9 +195,7 @@ func (c *Comm) Ialltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcou
 func (c *Comm) Allgatherv(mine []byte, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Allgatherv")()
 	a := c.allgathervArgs("Allgatherv", mine, rbuf, rcounts, rdispls)
-	s, release := c.sched(coll.OpAllgatherv, a)
-	coll.ExecBlockingRec(c, s, tagAllgatherv, c.rec)
-	release()
+	c.run(c.sched(coll.OpAllgatherv, a))
 }
 
 // Iallgatherv starts a nonblocking variable-size allgather.
@@ -283,9 +211,7 @@ func (c *Comm) Iallgatherv(mine []byte, rbuf []byte, rcounts, rdispls []int) *Re
 func (c *Comm) Gatherv(root int, mine []byte, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Gatherv")()
 	a := c.gathervArgs("Gatherv", root, mine, rbuf, rcounts, rdispls)
-	s, release := c.sched(coll.OpGatherv, a)
-	coll.ExecBlockingRec(c, s, tagGatherv, c.rec)
-	release()
+	c.run(c.sched(coll.OpGatherv, a))
 }
 
 // Igatherv starts a nonblocking variable-size gather at root.
@@ -301,9 +227,7 @@ func (c *Comm) Igatherv(root int, mine []byte, rbuf []byte, rcounts, rdispls []i
 func (c *Comm) Scatterv(root int, sbuf []byte, scounts, sdispls []int, buf []byte) {
 	defer c.span("Scatterv")()
 	a := c.scattervArgs("Scatterv", root, sbuf, scounts, sdispls, buf)
-	s, release := c.sched(coll.OpScatterv, a)
-	coll.ExecBlockingRec(c, s, tagScatterv, c.rec)
-	release()
+	c.run(c.sched(coll.OpScatterv, a))
 }
 
 // Iscatterv starts a nonblocking variable-size scatter from root.
@@ -320,9 +244,7 @@ func (c *Comm) Iscatterv(root int, sbuf []byte, scounts, sdispls []int, buf []by
 func (c *Comm) ReduceScatterF64(x, recv []float64, counts []int, op coll.Op) {
 	defer c.span("ReduceScatterF64")()
 	a := c.reduceScatterArgs("ReduceScatterF64", x, recv, counts, op)
-	s, release := c.sched(coll.OpReduceScatter, a)
-	coll.ExecBlockingRec(c, s, tagReduceScatter, c.rec)
-	release()
+	c.run(c.sched(coll.OpReduceScatter, a))
 }
 
 // IreduceScatterF64 starts a nonblocking reduce-scatter of x.
@@ -335,15 +257,16 @@ func (c *Comm) IreduceScatterF64(x, recv []float64, counts []int, op coll.Op) *R
 // ---- nonblocking collectives -------------------------------------------------
 //
 // The I* operations compile the same schedules as their blocking
-// counterparts but hand them to the internal/nbc engine: the calling thread
-// issues round 0 and returns immediately; subsequent rounds are driven by
-// the progress engine, so with PIOMan enabled the collective advances on an
+// counterparts and run them on the same internal/nbc engine, but the
+// calling thread only issues round 0 and returns immediately; subsequent
+// rounds are driven by the progress engine, so with PIOMan enabled the collective advances on an
 // idle core while the caller computes. The returned *Request composes with
 // Wait, WaitAll, WaitAny and Test. A cached schedule stays bound to the
 // operation until it completes; starting the same shape again while one is
 // in flight compiles a throwaway schedule.
 
-// nbcTransport adapts the CH3 layer to the nbc engine on the nbc context.
+// nbcTransport adapts the CH3 layer to the nbc engine on the collective
+// context.
 // The engine registers exactly one completion callback per transfer and
 // never touches the request afterwards, so the pooled (transient-request)
 // entry points apply.

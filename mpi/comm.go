@@ -76,9 +76,8 @@ type Comm struct {
 	nodes  []int
 	twoLvl bool // two-level collectives apply (precomputed from cfg+nodes)
 
-	ctx     int32 // point-to-point context
-	collCtx int32 // blocking-collective context
-	nbcCtx  int32 // nonblocking-collective context
+	ctx    int32 // point-to-point context
+	nbcCtx int32 // collective context (blocking and nonblocking)
 
 	nextCtx *int32 // shared counter for Dup/Split
 
@@ -92,6 +91,11 @@ type Comm struct {
 	selfRecvs []*Request
 }
 
+// ctxStride is the context ids per communicator: ctx, one unused, nbcCtx.
+// Stride 3 keeps nbcCtx, the PIOMan shard key, alternating parity across
+// communicators (stride 2 would put them all on one shard at Workers=2).
+const ctxStride = 3
+
 type selfMsg struct {
 	tag  int32
 	ctx  int32
@@ -100,7 +104,7 @@ type selfMsg struct {
 
 func newComm(cfg Config, proc *vtime.Proc, p *ch3.Process, node *marcel.Node,
 	mgr *pioman.Manager, rec *trace.Recorder, met *trace.Registry) *Comm {
-	next := int32(3)
+	next := int32(ctxStride)
 	group := make([]int, p.Size)
 	inv := make([]int, p.Size)
 	for i := range group {
@@ -114,7 +118,7 @@ func newComm(cfg Config, proc *vtime.Proc, p *ch3.Process, node *marcel.Node,
 	return &Comm{cfg: cfg, proc: proc, p: p, node: node, mgr: mgr,
 		group: group, inv: inv, rank: p.Rank, nodes: nodes,
 		twoLvl: twoLevelApplies(&cfg, nodes),
-		ctx:    0, collCtx: 1, nbcCtx: 2, nextCtx: &next,
+		ctx:    0, nbcCtx: 2, nextCtx: &next,
 		rec: rec, met: met}
 }
 
@@ -160,9 +164,8 @@ func (c *Comm) localOf(w int) int {
 func (c *Comm) Dup() *Comm {
 	d := *c
 	d.ctx = *c.nextCtx
-	d.collCtx = *c.nextCtx + 1
 	d.nbcCtx = *c.nextCtx + 2
-	*c.nextCtx += 3
+	*c.nextCtx += ctxStride
 	d.nbcEng = nil
 	d.cache = nil
 	d.selfSends = nil

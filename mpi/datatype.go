@@ -127,9 +127,7 @@ func (c *Comm) unpackD(user, wire []byte, dt Datatype) {
 // kernel needs.
 func (c *Comm) AlltoallvBytes(send, recv [][]byte) {
 	a := c.alltoallvBytesArgs("AlltoallvBytes", send, recv)
-	s, release := c.schedViews(coll.OpAlltoallv, a)
-	coll.ExecBlocking(c, s, tagAlltoallv)
-	release()
+	c.run(c.schedViews(coll.OpAlltoallv, a))
 }
 
 // IalltoallvBytes starts a nonblocking block-view alltoallv.

@@ -196,7 +196,7 @@ type RailCounter struct {
 
 // CounterSnapshot condenses a run's registries into the observability
 // numbers benchmark JSON rows carry: schedule-cache effectiveness, the
-// app/background poll split, nonblocking-collective activity and per-rail
+// app/background poll split, collective-engine activity and per-rail
 // traffic.
 type CounterSnapshot struct {
 	SchedCompiles int64   `json:"sched_compiles"`

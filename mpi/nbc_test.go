@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/cluster"
+	"repro/internal/coll"
 	"repro/internal/topo"
 )
 
@@ -160,6 +161,50 @@ func TestNbcMatchesBlocking(t *testing.T) {
 				runNbcAllOps(t, cfg)
 			})
 		}
+	}
+}
+
+// TestBlockingMixedRound: the blocking drive posts a whole round before
+// waiting on it, so a round may mix several sends and receives. Here each
+// of three ranks sends a rendezvous-sized block to both others and receives
+// from both in one round — a shape on which an executor that completes a
+// round's sends before posting its receives deadlocks (every rendezvous
+// send waits for a receive nobody has posted yet).
+func TestBlockingMixedRound(t *testing.T) {
+	const np, n = 3, 1 << 20
+	block := func(src, dst int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(src*31 + dst*7 + i)
+		}
+		return b
+	}
+	for _, stack := range nbcStacks() {
+		t.Run(stack.Name, func(t *testing.T) {
+			_, err := Run(xeonCfg(np, stack), func(c *Comm) {
+				me := c.Rank()
+				var rd coll.Round
+				recv := make([][]byte, np)
+				for off := 1; off < np; off++ {
+					dst := (me + off) % np
+					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimSend, Peer: dst, Data: block(me, dst)})
+				}
+				for off := 1; off < np; off++ {
+					src := (me + off) % np
+					recv[src] = make([]byte, n)
+					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimRecv, Peer: src, Buf: recv[src]})
+				}
+				c.run(&coll.Schedule{Rounds: []coll.Round{rd}}, nil)
+				for src := range recv {
+					if src != me && !bytes.Equal(recv[src], block(src, me)) {
+						t.Errorf("rank %d: block from rank %d corrupted", me, src)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

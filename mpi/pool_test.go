@@ -10,15 +10,18 @@ import (
 
 // TestCachedSchedStartZeroAlloc pins the heavy-traffic hot path at zero
 // allocations: once a shape's schedule is cached, rebinding it and handing
-// it to the nonblocking engine (acquireSched → StartDone, the body of every
-// cached I* start) must not allocate — the free lists (requests, ops),
-// the per-entry BufArgs scratch and the cached release closure cover it.
+// it to the engine must not allocate — the free lists (requests, ops), the
+// per-entry BufArgs scratch, the cached release closure and the op's
+// prebuilt closures cover it. Both drives are pinned: the nonblocking start
+// (acquireSched → StartDone, the body of every cached I* start) and the
+// caller-driven blocking run (acquireSched → Run, every cached blocking
+// collective).
 //
 // The run is single-rank so the schedule is local-only and the measured
 // calls cross no yield point: nothing else runs during AllocsPerRun.
 func TestCachedSchedStartZeroAlloc(t *testing.T) {
 	cfg := xeonCfg(1, cluster.MPICH2NmadIB())
-	var avg float64
+	var start, run float64
 	_, err := Run(cfg, func(c *Comm) {
 		x := make([]float64, 64)
 		// Warm the path: first call compiles the entry, second grows the
@@ -35,16 +38,23 @@ func TestCachedSchedStartZeroAlloc(t *testing.T) {
 		a.Seg = key.Seg
 		eng := c.engine()
 
-		avg = testing.AllocsPerRun(200, func() {
+		start = testing.AllocsPerRun(200, func() {
 			s, release := c.acquireSched(key, a)
 			eng.StartDone(c.proc, s, release)
+		})
+		run = testing.AllocsPerRun(200, func() {
+			s, release := c.acquireSched(key, a)
+			eng.Run(c.proc, s, release)
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avg != 0 {
-		t.Fatalf("cached schedule rebind+start allocates %.2f objects/op, want 0", avg)
+	if start != 0 {
+		t.Errorf("cached schedule rebind+start allocates %.2f objects/op, want 0", start)
+	}
+	if run != 0 {
+		t.Errorf("cached schedule rebind+blocking run allocates %.2f objects/op, want 0", run)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // negotiation.
 //
 // Isolation: each Split call advances the shared context counter, so the
-// sub-communicators' point-to-point, blocking-collective and
-// nonblocking-collective contexts never match the parent's or those of
-// communicators from other Split/Dup calls. Sub-communicators from the
+// sub-communicators' point-to-point and collective contexts never match
+// the parent's or those of communicators from other Split/Dup calls. Sub-communicators from the
 // same call share context ids but have disjoint members, so their traffic
 // cannot cross either.
 func (c *Comm) Split(color, key int) *Comm {
@@ -31,7 +30,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	c.Allgather(mine, out)
 
 	base := *c.nextCtx
-	*c.nextCtx += 3
+	*c.nextCtx += ctxStride
 	if color < 0 {
 		return nil
 	}
@@ -79,7 +78,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	return &Comm{cfg: c.cfg, proc: c.proc, p: c.p, node: c.node, mgr: c.mgr,
 		group: group, inv: inv, rank: rank, nodes: nodes,
 		twoLvl: twoLevelApplies(&c.cfg, nodes),
-		ctx:    base, collCtx: base + 1, nbcCtx: base + 2, nextCtx: c.nextCtx,
+		ctx:    base, nbcCtx: base + 2, nextCtx: c.nextCtx,
 		rec: c.rec, met: c.met}
 }
 

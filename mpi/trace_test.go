@@ -194,8 +194,11 @@ func TestReportCounters(t *testing.T) {
 	if cs.BgPolls == 0 {
 		t.Fatal("no background polls under PIOMan")
 	}
-	if cs.NbcStarted != 2 || cs.NbcCompleted != 2 {
-		t.Fatalf("nbc counters %d/%d, want 2/2", cs.NbcStarted, cs.NbcCompleted)
+	// Blocking collectives run on the nbc engine too: per rank three
+	// Barriers (Run's implicit final one included), two AllreduceF64 and
+	// one IallreduceF64.
+	if cs.NbcStarted != 12 || cs.NbcCompleted != 12 {
+		t.Fatalf("nbc counters %d/%d, want 12/12", cs.NbcStarted, cs.NbcCompleted)
 	}
 	if len(cs.Rails) == 0 {
 		t.Fatal("no rail counters")
