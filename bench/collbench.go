@@ -184,7 +184,7 @@ func CollBenchOnce(stack cluster.Stack, o CollBenchOptions) (CollBenchResult, er
 	}
 	// The 2-node Xeon pair fits the calibration-scale runs byte-for-byte;
 	// beyond its 16 cores the machine grows with the job — 8-core nodes
-	// under the switch/rack hierarchy, as a real large allocation would —
+	// behind one switch, as a real large allocation would —
 	// so NP in the thousands measures a plausible topology instead of
 	// failing a capacity check.
 	cl := cluster.Xeon2()

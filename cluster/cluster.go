@@ -112,21 +112,6 @@ func RailIB() simnet.RailParams {
 	}
 }
 
-// RailIBFatTree is the Infiniband NIC on a two-tier fat tree matching
-// topo.XeonRacks: crossing a leaf switch adds one switch hop of latency;
-// crossing racks adds a heavier hop through 2:1-oversubscribed uplinks.
-// Flat node maps are unaffected — the costs only apply once mpi.Run wires a
-// hierarchical cluster's distance function into the network.
-func RailIBFatTree() simnet.RailParams {
-	r := RailIB()
-	r.Name = "ib-fattree"
-	r.Hier = []simnet.LevelCost{
-		{ExtraLatency: 200 * vtime.Nanosecond, BWFactor: 1},
-		{ExtraLatency: 600 * vtime.Nanosecond, BWFactor: 0.5},
-	}
-	return r
-}
-
 // RailIBCached is the same NIC with a registration cache (MVAPICH2).
 func RailIBCached() simnet.RailParams {
 	r := RailIB()
@@ -325,6 +310,6 @@ func MPICH2NemesisGeneric() Stack {
 func Xeon2() topo.Cluster    { return topo.Xeon2() }
 func Grid5000() topo.Cluster { return topo.Grid5000() }
 
-// XeonRacks re-exports the scaled-out hierarchical machine for NP-scale
-// runs; pair it with RailIBFatTree so the rack/switch tiers carry cost.
+// XeonRacks re-exports the scaled-out machine for NP-scale runs: n Xeon
+// nodes behind one flat switch.
 func XeonRacks(nodes int) topo.Cluster { return topo.XeonRacks(nodes) }

@@ -21,10 +21,10 @@ import (
 	"log"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/bench"
+	"repro/cmd/internal/cli"
 	"repro/internal/coll"
 	"repro/internal/coll/tune"
 	"repro/internal/trace"
@@ -120,39 +120,18 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	var sizes []int
-	for _, f := range strings.Split(*sizesFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			log.Fatalf("bad size %q", f)
-		}
-		sizes = append(sizes, n)
-	}
+	sizes := cli.Ints(*sizesFlag, "size", 1)
 	// The segmented algorithms sweep the -seg dimension; 0 means "whatever
 	// the tuning resolves" (table seg, then the default).
 	segSweep := []int{0}
 	if *segFlag != "" {
-		segSweep = nil
-		for _, f := range strings.Split(*segFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad segment size %q", f)
-			}
-			segSweep = append(segSweep, n)
-		}
+		segSweep = cli.Ints(*segFlag, "segment size", 1)
 	}
 	// The rail-striped algorithms sweep the -stripe dimension; 0 means
 	// "whatever the tuning resolves" (table stripe, then unstriped).
 	stripeSweep := []int{0}
 	if *stripeFlag != "" {
-		stripeSweep = nil
-		for _, f := range strings.Split(*stripeFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 0 {
-				log.Fatalf("bad stripe width %q", f)
-			}
-			stripeSweep = append(stripeSweep, n)
-		}
+		stripeSweep = cli.Ints(*stripeFlag, "stripe width", 0)
 	}
 	ops := strings.Split(*opsFlag, ",")
 	for i := range ops {

@@ -40,11 +40,10 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/bench"
 	"repro/cluster"
+	"repro/cmd/internal/cli"
 )
 
 // row is one measurement at one configuration, JSON-shaped for
@@ -78,8 +77,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON rows instead of the table")
 	flag.Parse()
 
-	depths := intList(*inflight, "in-flight depth")
-	workerCounts := intList(*workers, "worker count")
+	depths := cli.Ints(*inflight, "in-flight depth", 1)
+	workerCounts := cli.Ints(*workers, "worker count", 1)
 	stack := cluster.MPICH2NmadIB()
 	if *pioman {
 		stack = stack.WithPIOMan(true)
@@ -94,7 +93,7 @@ func main() {
 	}
 	npRows := 0
 	if *npSweep != "" {
-		for _, n := range intList(*npSweep, "np") {
+		for _, n := range cli.Ints(*npSweep, "np", 1) {
 			cfgs = append(cfgs, config{n, *npDepth, workerCounts[0]})
 			npRows++
 		}
@@ -224,19 +223,6 @@ func checkAllocs(rows []row, bound float64) {
 			os.Exit(1)
 		}
 	}
-}
-
-// intList parses a comma-separated list of positive ints.
-func intList(s, what string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			log.Fatalf("bad %s %q", what, f)
-		}
-		out = append(out, n)
-	}
-	return out
 }
 
 // pct formats a hit percentage from hit/miss counters.

@@ -24,11 +24,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/bench"
 	"repro/cluster"
+	"repro/cmd/internal/cli"
 	"repro/internal/coll"
 	"repro/internal/coll/tune"
 )
@@ -60,40 +60,16 @@ func main() {
 
 	opts := tune.Options{NP: *np, Iters: *iters}
 	if *npsFlag != "" {
-		for _, f := range strings.Split(*npsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad rank count %q", f)
-			}
-			opts.NPs = append(opts.NPs, n)
-		}
+		opts.NPs = cli.Ints(*npsFlag, "rank count", 1)
 	}
 	if *segsFlag != "" {
-		for _, f := range strings.Split(*segsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad segment size %q", f)
-			}
-			opts.Segs = append(opts.Segs, n)
-		}
+		opts.Segs = cli.Ints(*segsFlag, "segment size", 1)
 	}
 	if *stripesFlag != "" {
-		for _, f := range strings.Split(*stripesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 0 {
-				log.Fatalf("bad stripe width %q", f)
-			}
-			opts.Stripes = append(opts.Stripes, n)
-		}
+		opts.Stripes = cli.Ints(*stripesFlag, "stripe width", 0)
 	}
 	if *sizesFlag != "" {
-		for _, f := range strings.Split(*sizesFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				log.Fatalf("bad size %q", f)
-			}
-			opts.Sizes = append(opts.Sizes, n)
-		}
+		opts.Sizes = cli.Ints(*sizesFlag, "size", 1)
 	}
 	if *opsFlag != "" {
 		for _, f := range strings.Split(*opsFlag, ",") {

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/bench"
+	"repro/cmd/internal/cli"
 	"repro/internal/coll/tune"
 	"repro/internal/nas"
 	"repro/internal/trace"
@@ -48,15 +49,7 @@ func main() {
 		kernels = append(kernels, k)
 	}
 	var jsonRows []bench.NASResult
-	var nps []int
-	for _, npStr := range strings.Split(*npFlag, ",") {
-		var np int
-		if _, err := fmt.Sscanf(strings.TrimSpace(npStr), "%d", &np); err != nil {
-			log.Fatalf("bad np %q", npStr)
-		}
-		nps = append(nps, np)
-	}
-
+	nps := cli.Ints(*npFlag, "np", 1)
 	for _, np := range nps {
 		res, err := bench.RunNAS(class, np, kernels, bench.NASStacks(), nil)
 		if err != nil {

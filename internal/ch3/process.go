@@ -19,8 +19,6 @@ type Config struct {
 	// EagerShmMax is the largest message sent eagerly over shared memory;
 	// larger messages use the CH3 rendezvous protocol.
 	EagerShmMax int
-	// CTSCost is the host cost of emitting a CH3 clear-to-send.
-	CTSCost vtime.Duration
 	// Rec, when set, records protocol-phase trace events (eager vs
 	// rendezvous, RTS/CTS/data legs).
 	Rec *trace.Recorder
@@ -38,11 +36,11 @@ func (c Config) withDefaults() Config {
 	if c.EagerShmMax == 0 {
 		c.EagerShmMax = 64 << 10
 	}
-	if c.CTSCost == 0 {
-		c.CTSCost = 50
-	}
 	return c
 }
+
+// ctsCost is the host cost of emitting a CH3 clear-to-send.
+const ctsCost vtime.Duration = 50
 
 // Origin abstracts the path an arrival took so rendezvous replies travel the
 // same way. Implementations: the shared-memory channel (here) and the packet
@@ -674,7 +672,7 @@ func (shmOrigin) SendCTS(p *Process, dst int32, senderCookie, recvCookie uint64,
 		MsgLen: int64(granted), Offset: int64(recvCookie)}
 	j.control = true
 	p.pushJob(j)
-	return p.cfg.CTSCost
+	return ctsCost
 }
 
 func (shmOrigin) SendRdvData(p *Process, req *Request, dst int32, recvCookie uint64, granted int) {
@@ -817,11 +815,11 @@ func (p *Process) handleCTS(hdr shmq.Header, org Origin) vtime.Duration {
 	granted := int(hdr.MsgLen)
 	if granted == 0 {
 		r.Complete()
-		return p.cfg.CTSCost
+		return ctsCost
 	}
 	recvCookie := uint64(hdr.Offset)
 	org.SendRdvData(p, r, hdr.Src, recvCookie, granted)
-	return p.cfg.CTSCost
+	return ctsCost
 }
 
 func (p *Process) handleRdvData(hdr shmq.Header, payload []byte, org Origin) vtime.Duration {

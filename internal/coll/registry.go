@@ -290,9 +290,9 @@ func init() {
 // Tuning parameterizes algorithm selection. The zero value (and a nil
 // pointer) selects the built-in MPICH-flavoured defaults. Overrides apply
 // in ONE precedence order, enforced by Select and asserted by test
-// (TestTableBeatsLongOverride):
+// (TestTableBeatsDefaults):
 //
-//		Force > topology (two-level) > Table > *Long overrides > defaults
+//		Force > topology (two-level) > Table > defaults
 //
 //	  - Force pins an operation to one algorithm unconditionally;
 //	  - topology: when the caller requests two-level and op has a
@@ -301,11 +301,8 @@ func init() {
 //	  - Table supplies calibrated per-operation size thresholds (loaded via
 //	    LoadTable from a colltune-emitted JSON file, or taken from the
 //	    embedded per-stack calibrations in internal/coll/tune) and replaces
-//	    the built-in size switch for the operations it covers — including
-//	    the *Long knobs, which a covering table makes dead;
-//	  - the *Long fields override individual default byte thresholds when
-//	    > 0 — the pre-table tuning knobs, honoured only for operations the
-//	    table does not cover.
+//	    the built-in size switch (the Def*Long thresholds) for the
+//	    operations it covers.
 //
 // SegBytes forces the pipeline segment size of the segmented algorithms
 // (chain / segmented-binomial / segmented-ring) in bytes; 0 defers to the
@@ -331,10 +328,6 @@ type Tuning struct {
 	// bit-identical schedules with or without this PR-era machinery.
 	StripeWidth int
 	Rails       []RailInfo
-
-	BcastLong     int
-	AllreduceLong int
-	AllgatherLong int
 }
 
 // Default size thresholds (payload bytes) at which the selector switches
@@ -411,35 +404,12 @@ func (t *Tuning) RailProfile() string {
 	return sb.String()
 }
 
-func (t *Tuning) bcastLong() int {
-	if t != nil && t.BcastLong > 0 {
-		return t.BcastLong
-	}
-	return DefBcastLong
-}
-
-func (t *Tuning) allreduceLong() int {
-	if t != nil && t.AllreduceLong > 0 {
-		return t.AllreduceLong
-	}
-	return DefAllreduceLong
-}
-
-func (t *Tuning) allgatherLong() int {
-	if t != nil && t.AllgatherLong > 0 {
-		return t.AllgatherLong
-	}
-	return DefAllgatherLong
-}
-
 // Select picks the algorithm for op on size ranks moving bytes of payload;
 // twoLevel requests the hierarchical variant where one exists. The
 // precedence order is exactly the one Tuning documents — Force > topology
-// (two-level) > Table > *Long overrides > defaults. A table covering op
-// therefore makes the corresponding *Long knob dead: the size switch the
-// *Long fields parameterize is only reached when the table has no entry
-// for op (or no table is installed). The defaults are documented in
-// internal/coll/README.md.
+// (two-level) > Table > defaults: the built-in size switch is only reached
+// when the table has no entry for op (or no table is installed). The
+// defaults are documented in internal/coll/README.md.
 func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
 	if t != nil && t.Force != nil {
 		if a, ok := t.Force[op]; ok && a != AlgoAuto {
@@ -471,7 +441,7 @@ func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
 		if twoLevel {
 			return AlgoTwoLevel
 		}
-		if size < 8 || bytes <= t.bcastLong() {
+		if size < 8 || bytes <= DefBcastLong {
 			return AlgoBinomial
 		}
 		return AlgoScatterAllgather
@@ -481,7 +451,7 @@ func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
 		if twoLevel {
 			return AlgoTwoLevel
 		}
-		if size < 4 || size&(size-1) != 0 || bytes <= t.allreduceLong() {
+		if size < 4 || size&(size-1) != 0 || bytes <= DefAllreduceLong {
 			return AlgoRecDoubling
 		}
 		return AlgoRabenseifner
@@ -489,7 +459,7 @@ func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
 		if twoLevel {
 			return AlgoTwoLevel
 		}
-		if bytes <= t.allgatherLong() {
+		if bytes <= DefAllgatherLong {
 			return AlgoBruck
 		}
 		return AlgoRing
@@ -515,7 +485,7 @@ func (t *Tuning) Select(op OpKind, size, bytes int, twoLevel bool) Algo {
 		if twoLevel {
 			return AlgoTwoLevel
 		}
-		if bytes <= t.allgatherLong() {
+		if bytes <= DefAllgatherLong {
 			return AlgoBruck
 		}
 		return AlgoRing

@@ -454,8 +454,8 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 // and the local rank group of rank's own node. When root >= 0 and shares a
 // node with rank's view of the placement, root is promoted to leader of its
 // node so rooted operations need no extra hop. Node ids only need to be
-// comparable, not dense: hierarchical placements encode rack/switch position
-// in the id, leaving large gaps, and a scan over the id range would turn a
+// comparable, not dense: a placement may encode machine position in the id,
+// leaving large gaps, and a scan over the id range would turn a
 // 4-node map into millions of iterations. Only populated ids are visited.
 func leadersOf(nodes []int, root int) (leaders []int, byNode map[int][]int) {
 	byNode = make(map[int][]int)

@@ -230,35 +230,28 @@ func TestKeyCarriesStack(t *testing.T) {
 	}
 }
 
-// TestTableBeatsLongOverride pins the documented precedence order
-// (Force > two-level > Table > *Long > defaults): when a table covers an
-// operation, a conflicting *Long override is dead — selection must follow
-// the table in both directions of the conflict, and the *Long knob only
-// resurfaces for operations the table does not cover.
-func TestTableBeatsLongOverride(t *testing.T) {
+// TestTableBeatsDefaults pins the documented precedence order
+// (Force > two-level > Table > defaults): when a table covers an operation,
+// selection follows the table even where the built-in size switch would
+// pick otherwise, and the switch only resurfaces for operations the table
+// does not cover.
+func TestTableBeatsDefaults(t *testing.T) {
 	tab := &Table{Stack: "s", Ops: map[string][]TableEntry{
-		"bcast":     {{MaxBytes: -1, Algo: AlgoBinomial}},
-		"allreduce": {{MaxBytes: -1, Algo: AlgoRabenseifner}},
+		"bcast":     {{MaxBytes: -1, Algo: AlgoBinomial}},    // default switch says scatter-allgather at 64KB
+		"allreduce": {{MaxBytes: -1, Algo: AlgoRecDoubling}}, // default switch says rabenseifner at 64KB
 	}}
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tn := &Tuning{
-		Table:         tab,
-		Stack:         "s",
-		BcastLong:     1,       // default switch would say scatter-allgather at 64KB
-		AllreduceLong: 1 << 30, // default switch would say recursive-doubling at 64KB
-	}
+	tn := &Tuning{Table: tab, Stack: "s"}
 	if got := tn.Select(OpBcast, 8, 64<<10, false); got != AlgoBinomial {
-		t.Errorf("bcast under table+BcastLong = %s, want binomial (table must beat *Long)", got)
+		t.Errorf("bcast under table = %s, want binomial (table must beat the default switch)", got)
 	}
-	if got := tn.Select(OpAllreduce, 8, 64<<10, false); got != AlgoRabenseifner {
-		t.Errorf("allreduce under table+AllreduceLong = %s, want rabenseifner (table must beat *Long)", got)
+	if got := tn.Select(OpAllreduce, 8, 64<<10, false); got != AlgoRecDoubling {
+		t.Errorf("allreduce under table = %s, want recursive-doubling (table must beat the default switch)", got)
 	}
-	// Allgather is NOT covered by this table, so its *Long override still
-	// applies — the knob is only dead for covered operations.
-	tn.AllgatherLong = 1
+	// Allgather is NOT covered by this table, so the default switch applies.
 	if got := tn.Select(OpAllgather, 8, 64<<10, false); got != AlgoRing {
-		t.Errorf("allgather (uncovered) with AllgatherLong=1 = %s, want ring (the *Long applies)", got)
+		t.Errorf("allgather (uncovered) = %s, want ring (the default switch applies)", got)
 	}
 }

@@ -21,23 +21,16 @@ type PacketConfig struct {
 	// Pipeline chunks rendezvous data into fixed-size transfers (Open MPI
 	// openib/MX BTL style); 0 sends the payload as one transfer.
 	Pipeline int
-	// RailIdx selects the rail (baselines are single-rail).
-	RailIdx int
-	// HeaderBytes is the wire size of a CH3 packet header.
-	HeaderBytes int
 	// PacketCost is the receiver-side handling cost per packet.
 	PacketCost vtime.Duration
-	// CopyOnSend charges an extra staging copy on the send path — the
-	// queue-cell copies of §2.1.3 that the paper's bypass eliminates.
-	CopyOnSend bool
 }
+
+// packetHeaderBytes is the wire size of a CH3 packet header.
+const packetHeaderBytes = 40
 
 func (c PacketConfig) withDefaults() PacketConfig {
 	if c.EagerMax == 0 {
 		c.EagerMax = 32 << 10
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 40
 	}
 	if c.PacketCost == 0 {
 		c.PacketCost = 100
@@ -71,14 +64,14 @@ type Packet struct {
 	PktsRecv int64
 }
 
-// NewPacket builds the backend for p on the given node, using rail
-// cfg.RailIdx of net. Peers must be linked with LinkPacketPeers after all
-// backends exist.
+// NewPacket builds the backend for p on the given node, using rail 0 of net
+// (baselines are single-rail). Peers must be linked with LinkPacketPeers
+// after all backends exist.
 func NewPacket(p *ch3.Process, e *vtime.Engine, net *simnet.Network, node int,
 	mgr *pioman.Manager, cfg PacketConfig) *Packet {
 	b := &Packet{
 		p: p, e: e, cfg: cfg.withDefaults(),
-		rail: net.Rail(cfg.RailIdx), node: node, mgr: mgr,
+		rail: net.Rail(0), node: node, mgr: mgr,
 		peers: make([]*Packet, p.Size),
 	}
 	p.SetBackend(b)
@@ -136,11 +129,11 @@ func (b *Packet) Isend(proc *vtime.Proc, req *ch3.Request) {
 	if len(data) <= b.cfg.EagerMax {
 		hdr := shmq.Header{Type: shmq.CellData, Src: int32(b.p.Rank), Tag: tag,
 			Ctx: ctx, MsgLen: int64(len(data))}
-		var extra vtime.Duration
-		if b.cfg.CopyOnSend {
-			extra = copyCostAt(len(data), b.p.ShmMemBW())
-		}
-		b.sendPacket(req.Dest(), hdr, data, extra, false, false, func() {
+		// The request completes when the NIC drains, before the peer
+		// consumes the packet, so the packet carries its own copy of the
+		// payload (the bounce-buffer copy SubmitEager charges).
+		payload := append([]byte(nil), data...)
+		b.sendPacket(req.Dest(), hdr, payload, false, false, func() {
 			if !req.Done() {
 				req.Complete()
 			}
@@ -150,26 +143,25 @@ func (b *Packet) Isend(proc *vtime.Proc, req *ch3.Request) {
 	cookie := b.p.RegisterRdvOut(req)
 	hdr := shmq.Header{Type: shmq.CellRTS, Src: int32(b.p.Rank), Tag: tag,
 		Ctx: ctx, MsgLen: int64(len(data)), ReqID: cookie}
-	b.sendPacket(req.Dest(), hdr, nil, 0, false, false, nil)
+	b.sendPacket(req.Dest(), hdr, nil, false, false, nil)
 }
 
 // sendPacket submits one packet: host submission cost is deferred to the
 // progress engine (PostTask), then the wire transfer runs. rdv selects the
 // zero-copy (registration) cost model instead of the eager bounce copy.
 func (b *Packet) sendPacket(dst int, hdr shmq.Header, data []byte,
-	extraCost vtime.Duration, rdv, cachedReg bool, onSubmitted func()) {
+	rdv, cachedReg bool, onSubmitted func()) {
 	peer := b.peers[dst]
 	if peer == nil {
 		panic(fmt.Sprintf("core[%d]: packet to unlinked rank %d", b.p.Rank, dst))
 	}
-	size := b.cfg.HeaderBytes + len(data)
+	size := packetHeaderBytes + len(data)
 	var cost vtime.Duration
 	if rdv {
 		cost = b.rail.Params.SubmitRdv(size, cachedReg)
 	} else {
 		cost = b.rail.Params.SubmitEager(size)
 	}
-	cost += extraCost
 	from, to := b.node, peer.node
 	b.mgr.PostTask(pioman.Task{Cost: cost, Run: func() {
 		b.PktsSent++
@@ -199,7 +191,7 @@ func (o netOrigin) OriginName() string { return o.b.Name() }
 func (o netOrigin) SendCTS(p *ch3.Process, dst int32, senderCookie, recvCookie uint64, granted int) vtime.Duration {
 	hdr := shmq.Header{Type: shmq.CellCTS, Src: int32(p.Rank),
 		ReqID: senderCookie, Offset: int64(recvCookie), MsgLen: int64(granted)}
-	o.b.sendPacket(int(dst), hdr, nil, 0, false, false, nil)
+	o.b.sendPacket(int(dst), hdr, nil, false, false, nil)
 	return 0
 }
 
@@ -222,7 +214,7 @@ func (o netOrigin) SendRdvData(p *ch3.Process, req *ch3.Request, dst int32, recv
 		hdr := shmq.Header{Type: shmq.CellRdvData, Src: int32(p.Rank),
 			ReqID: recvCookie, Offset: int64(off), MsgLen: int64(granted)}
 		last := i == len(offs)-1
-		o.b.sendPacket(int(dst), hdr, data[off:end], 0, true, cached, func() {
+		o.b.sendPacket(int(dst), hdr, data[off:end], true, cached, func() {
 			if last && !req.Done() {
 				req.Complete()
 			}

@@ -24,10 +24,6 @@ type Options struct {
 	// MemBW is the node's memory copy bandwidth (bytes/sec) for eager and
 	// unexpected-message copies.
 	MemBW float64
-	// PwParseCost is the host cost to parse one arrived packet wrapper.
-	PwParseCost vtime.Duration
-	// MatchCost is the host cost of one tag-matching step.
-	MatchCost vtime.Duration
 	// Peer resolves a rank to its Core so gates can be established lazily
 	// on first traffic. With NP in the thousands, eagerly connecting every
 	// pair costs O(NP²) gates while a log-depth collective touches O(log NP)
@@ -43,6 +39,13 @@ type Options struct {
 	Rec *trace.Recorder
 }
 
+const (
+	// pwParseCost is the host cost to parse one arrived packet wrapper.
+	pwParseCost vtime.Duration = 100
+	// matchCost is the host cost of one tag-matching step.
+	matchCost vtime.Duration = 40
+)
+
 // withDefaults fills zero fields with the library defaults.
 func (o Options) withDefaults() Options {
 	if o.RdvThreshold == 0 {
@@ -56,12 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MemBW == 0 {
 		o.MemBW = 4e9
-	}
-	if o.PwParseCost == 0 {
-		o.PwParseCost = 100
-	}
-	if o.MatchCost == 0 {
-		o.MatchCost = 40
 	}
 	if o.PostTask == nil {
 		panic("nmad: Options.PostTask is required")
@@ -548,7 +545,7 @@ func (c *Core) Poll() (int, vtime.Duration) {
 		c.opt.Rec.Instant("nmad", "pw-recv",
 			trace.Int64("src", int64(in.pw.From)),
 			trace.Int64("entries", int64(len(in.pw.Entries))))
-		cost += in.consume + c.opt.PwParseCost
+		cost += in.consume + pwParseCost
 		for _, en := range in.pw.Entries {
 			cost += c.handleEntry(in.pw.From, en)
 		}
@@ -571,7 +568,7 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 	if g == nil {
 		panic(fmt.Sprintf("nmad[%d]: entry from unconnected rank %d", c.rank, fromRank))
 	}
-	cost := c.opt.MatchCost
+	cost := matchCost
 	switch en.Kind {
 	case EntryEager:
 		if r := c.matchPosted(g, en.Tag); r != nil {
@@ -580,13 +577,13 @@ func (c *Core) handleEntry(fromRank int, en Entry) vtime.Duration {
 			cost += copyCost(n, c.opt.MemBW)
 			r.complete()
 		} else {
-			// Copy into NewMadeleine's buffers; delivered on a later IRecv.
-			data := make([]byte, len(en.Data))
-			copy(data, en.Data)
+			// Held in NewMadeleine's buffers; delivered on a later IRecv.
+			// The entry already owns a copy of the payload (packEntry), so
+			// it is kept as is; copyCost still charges the modeled copy.
 			c.unexpected = append(c.unexpected, &unexp{
-				from: g, kind: EntryEager, tag: en.Tag, msgLen: en.MsgLen, data: data,
+				from: g, kind: EntryEager, tag: en.Tag, msgLen: en.MsgLen, data: en.Data,
 			})
-			cost += copyCost(len(data), c.opt.MemBW)
+			cost += copyCost(len(en.Data), c.opt.MemBW)
 		}
 	case EntryRTS:
 		if r := c.matchPosted(g, en.Tag); r != nil {

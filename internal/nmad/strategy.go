@@ -79,11 +79,15 @@ func newStrategy(k StrategyKind) Strategy {
 }
 
 // packEntry converts a send pack into its wire entry (eager data or RTS).
+// An eager send completes when the NIC drains, before the peer consumes the
+// entry, so the entry carries its own copy of the payload (the bounce-buffer
+// copy SubmitEager charges).
 func packEntry(c *Core, r *Request) Entry {
 	if r.rdv {
 		return Entry{Kind: EntryRTS, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), PackID: r.id}
 	}
-	return Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), Data: r.data}
+	data := append([]byte(nil), r.data...)
+	return Entry{Kind: EntryEager, Tag: r.tag, Seq: r.seq, MsgLen: len(r.data), Data: data}
 }
 
 // ---- strat_default -------------------------------------------------------

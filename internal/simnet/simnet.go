@@ -47,23 +47,6 @@ type RailParams struct {
 	RegCache bool
 	// RecvPerMsgHost is the fixed receiver-side CPU cost to consume a packet.
 	RecvPerMsgHost vtime.Duration
-	// MaxPacket caps a single wire packet; larger submissions must be split
-	// by the caller. Zero means unlimited.
-	MaxPacket int
-	// Hier holds the incremental cost of crossing each interconnect tier of
-	// a hierarchical machine, innermost tier first (switch, then rack, ...).
-	// A transfer between nodes at topology distance d pays the first d
-	// entries on top of the base Latency/BytesPerSec. Empty means the rail
-	// behaves as a single flat switch regardless of the node map.
-	Hier []LevelCost
-}
-
-// LevelCost is the cost of crossing one interconnect tier: added one-way
-// latency, and an effective-bandwidth multiplier modelling oversubscription
-// of the uplinks (0 means 1.0, i.e. full bisection at that tier).
-type LevelCost struct {
-	ExtraLatency vtime.Duration
-	BWFactor     float64
 }
 
 // Validate reports whether the parameters are usable.
@@ -80,32 +63,7 @@ func (rp RailParams) Validate() error {
 	if rp.ChunkBytes <= 0 {
 		return fmt.Errorf("simnet: rail %s: non-positive chunk size", rp.Name)
 	}
-	for i, lc := range rp.Hier {
-		if lc.ExtraLatency < 0 {
-			return fmt.Errorf("simnet: rail %s: negative extra latency at tier %d", rp.Name, i)
-		}
-		if lc.BWFactor < 0 || lc.BWFactor > 1 {
-			return fmt.Errorf("simnet: rail %s: bandwidth factor %g at tier %d outside (0, 1]",
-				rp.Name, lc.BWFactor, i)
-		}
-	}
 	return nil
-}
-
-// pathCost returns the one-way latency and effective bandwidth of a path
-// crossing the first d hierarchy tiers.
-func (rp RailParams) pathCost(d int) (vtime.Duration, float64) {
-	lat, bw := rp.Latency, rp.BytesPerSec
-	if d > len(rp.Hier) {
-		d = len(rp.Hier)
-	}
-	for i := 0; i < d; i++ {
-		lat += rp.Hier[i].ExtraLatency
-		if f := rp.Hier[i].BWFactor; f > 0 {
-			bw *= f
-		}
-	}
-	return lat, bw
 }
 
 // WireTime returns the serialization time of size bytes at full bandwidth.
@@ -160,9 +118,6 @@ type Rail struct {
 	ID     int
 	e      *vtime.Engine
 	nics   []nic
-	// dist maps a node pair to its topology distance (crossed tiers); nil
-	// means flat (distance 0 everywhere).
-	dist func(from, to int) int
 	// Stats
 	Packets   int64
 	BytesSent int64
@@ -172,16 +127,6 @@ type Rail struct {
 type Network struct {
 	e     *vtime.Engine
 	rails []*Rail
-}
-
-// SetDistance installs the node-pair topology distance function on every
-// rail — the hook mpi.Run wires a hierarchical cluster's
-// topo.Hierarchy.Distance into. Rails whose params carry no Hier costs are
-// unaffected; nil restores the flat interpretation.
-func (n *Network) SetDistance(dist func(from, to int) int) {
-	for _, r := range n.rails {
-		r.dist = dist
-	}
 }
 
 // New instantiates a network with one NIC per (rail, node).
@@ -231,21 +176,10 @@ func (r *Rail) Transfer(from, to, size int, payload interface{}, onDelivered fun
 	if from == to {
 		panic("simnet: self-transfer over a network rail")
 	}
-	if r.Params.MaxPacket > 0 && size > r.Params.MaxPacket {
-		panic(fmt.Sprintf("simnet: packet of %d bytes exceeds rail %s max %d",
-			size, r.Params.Name, r.Params.MaxPacket))
-	}
 	now := r.e.Now()
 	tx := &r.nics[from]
 	rx := &r.nics[to]
-	lat, bw := r.Params.Latency, r.Params.BytesPerSec
-	if r.dist != nil && len(r.Params.Hier) > 0 {
-		lat, bw = r.Params.pathCost(r.dist(from, to))
-	}
-	wire := vtime.Duration(0)
-	if size > 0 {
-		wire = vtime.Duration(float64(size) / bw * 1e9)
-	}
+	wire := r.Params.WireTime(size)
 
 	start := now
 	if tx.txBusy > start {
@@ -253,7 +187,7 @@ func (r *Rail) Transfer(from, to, size int, payload interface{}, onDelivered fun
 	}
 	tx.txBusy = start.Add(wire)
 
-	headArrive := start.Add(lat)
+	headArrive := start.Add(r.Params.Latency)
 	if rx.rxBusy > headArrive {
 		headArrive = rx.rxBusy
 	}

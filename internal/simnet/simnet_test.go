@@ -270,23 +270,6 @@ func TestSelfTransferPanics(t *testing.T) {
 	}
 }
 
-func TestMaxPacketEnforced(t *testing.T) {
-	rp := testRail()
-	rp.MaxPacket = 100
-	e, n := newNet(t, 2, rp)
-	e.At(0, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on oversized packet")
-			}
-		}()
-		n.Rail(0).Transfer(0, 1, 101, nil, func(Delivery) {})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	e, n := newNet(t, 2)
 	e.At(0, func() {

@@ -18,54 +18,6 @@ type Cluster struct {
 	// MemBWBytes is the per-node memory copy bandwidth in bytes per second,
 	// used by the shared-memory channel cost model.
 	MemBWBytes float64
-	// Hierarchy groups nodes into nested interconnect units (switch, rack,
-	// ...). Empty means a flat machine: every node pair is one switch hop
-	// apart, which is what the small paper testbeds are.
-	Hierarchy Hierarchy
-}
-
-// Level is one tier of the interconnect hierarchy above the node NIC.
-type Level struct {
-	Name string
-	// Size is the number of units of the tier below grouped under one unit
-	// of this tier — nodes per switch for the innermost level, switches per
-	// rack for the next, and so on.
-	Size int
-}
-
-// Hierarchy nests nodes into interconnect units, innermost level first.
-// Node ids stay dense (0..NumNodes-1); a node's unit at level l is its id
-// divided by the cumulative group size up to that level.
-type Hierarchy struct {
-	Levels []Level
-}
-
-// Flat reports whether the hierarchy is empty (single-switch machine).
-func (h Hierarchy) Flat() bool { return len(h.Levels) == 0 }
-
-// Validate checks level sizes.
-func (h Hierarchy) Validate() error {
-	for i, l := range h.Levels {
-		if l.Size <= 1 {
-			return fmt.Errorf("topo: hierarchy level %d (%s) groups %d units", i, l.Name, l.Size)
-		}
-	}
-	return nil
-}
-
-// Distance returns the number of hierarchy tiers a message between nodes a
-// and b must cross: 0 when they share the innermost unit (same switch),
-// len(Levels) when they only meet above the top level. A flat hierarchy
-// returns 0 for every pair.
-func (h Hierarchy) Distance(a, b int) int {
-	group := 1
-	for i, l := range h.Levels {
-		group *= l.Size
-		if a/group == b/group {
-			return i
-		}
-	}
-	return len(h.Levels)
 }
 
 // Validate reports whether the cluster description is self-consistent.
@@ -81,9 +33,6 @@ func (c Cluster) Validate() error {
 	}
 	if c.MemBWBytes <= 0 {
 		return fmt.Errorf("topo: cluster %q has non-positive memory bandwidth", c.Name)
-	}
-	if err := c.Hierarchy.Validate(); err != nil {
-		return fmt.Errorf("%v (cluster %q)", err, c.Name)
 	}
 	return nil
 }
@@ -182,10 +131,9 @@ func Grid5000() Cluster {
 	}
 }
 
-// XeonRacks scales the Xeon testbed out to nodes boxes arranged as a
-// two-tier fat tree: 16 nodes per leaf switch, 4 switches per rack. This is
-// the NP-scale machine the large collective runs use — per-node parameters
-// match Xeon2 so small and large runs stay comparable.
+// XeonRacks scales the Xeon testbed out to nodes boxes behind one flat
+// switch. This is the NP-scale machine the large collective runs use —
+// per-node parameters match Xeon2 so small and large runs stay comparable.
 func XeonRacks(nodes int) Cluster {
 	return Cluster{
 		Name:         "xeonracks",
@@ -193,9 +141,5 @@ func XeonRacks(nodes int) Cluster {
 		CoresPerNode: 8,
 		FlopsPerCore: 3.0e9,
 		MemBWBytes:   4.0e9,
-		Hierarchy: Hierarchy{Levels: []Level{
-			{Name: "switch", Size: 16},
-			{Name: "rack", Size: 4},
-		}},
 	}
 }

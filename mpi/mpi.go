@@ -327,11 +327,6 @@ func Run(cfg Config, main func(*Comm)) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.Cluster.Hierarchy.Flat() {
-		// Rack/switch tiers: rails whose params carry per-level costs now
-		// charge them by node-pair distance.
-		net.SetDistance(cfg.Cluster.Hierarchy.Distance)
-	}
 
 	// Counter registries always exist (counters cost what the old ad-hoc
 	// stat fields did); event recorders only when a Trace is configured.

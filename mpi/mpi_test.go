@@ -396,6 +396,50 @@ func TestSelfSendRecv(t *testing.T) {
 	}
 }
 
+// TestSendBufferReusableAfterSend: once a blocking Send returns, the
+// caller owns its buffer again. Rank 0 clears the buffer before the Barrier
+// that lets rank 1 post its receive, so the eager packet is still
+// unconsumed when the buffer changes; the receiver must still see the bytes
+// as they were at Send time.
+func TestSendBufferReusableAfterSend(t *testing.T) {
+	const n = 1 << 10
+	want := make([]byte, n)
+	for i := range want {
+		want[i] = byte(i*7 + 1)
+	}
+	for _, s := range []cluster.Stack{
+		cluster.MPICH2NmadIB(),
+		cluster.MPICH2NmadIB().WithPIOMan(true),
+		cluster.MPICH2NmadMulti(),
+		cluster.MVAPICH2(),
+		cluster.OpenMPIIB(),
+		cluster.MPICH2NemesisGeneric(),
+	} {
+		t.Run(s.Name, func(t *testing.T) {
+			_, err := Run(xeonCfg(2, s), func(c *Comm) {
+				if c.Rank() == 0 {
+					buf := append([]byte(nil), want...)
+					c.Send(1, 5, buf)
+					for i := range buf {
+						buf[i] = 0
+					}
+					c.Barrier()
+					return
+				}
+				c.Barrier()
+				got := make([]byte, n)
+				c.Recv(0, 5, got)
+				if !bytes.Equal(got, want) {
+					t.Errorf("received payload differs from the bytes sent")
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	_, err := Run(xeonCfg(2, cluster.MPICH2NmadIB()), func(c *Comm) {
 		if c.Rank() == 0 {

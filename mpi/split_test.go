@@ -204,7 +204,7 @@ func TestSplitNodeLeaders(t *testing.T) {
 }
 
 // TestSplitNodeRagged: SplitNode, SplitLeaders and the two-level collectives
-// on an uneven node map over a hierarchical cluster — 5 ranks on node 0, a
+// on an uneven node map over the XeonRacks cluster — 5 ranks on node 0, a
 // singleton on node 1, 5 more on node 2, NP odd and not a power of two. The
 // flat-map assumptions this pins against: per-node sizes derived from
 // NP/nodes division, leader election by rank arithmetic instead of the node
