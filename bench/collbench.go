@@ -78,12 +78,9 @@ type CollBenchResult struct {
 	HostMS float64
 	// Compiles and Hits are rank 0's schedule-cache counters.
 	Compiles, Hits int64
-	// Rails is the run's per-rail traffic (packets and bytes per rail) —
-	// one entry per rail on multirail stacks, so striping benchmarks can
-	// report how the payload actually split across the wires.
-	Rails []mpi.RailCounter
 	// Counters is the run's registry snapshot (cache effectiveness across
-	// all ranks, poll split, rail traffic).
+	// all ranks, poll split, and per-rail traffic — one Rails entry per
+	// rail, so striping benchmarks see how the payload split across wires).
 	Counters *mpi.CounterSnapshot
 }
 
@@ -260,7 +257,6 @@ func CollBenchOnce(stack cluster.Stack, o CollBenchOptions) (CollBenchResult, er
 		return res, err
 	}
 	res.Counters = rep.Counters()
-	res.Rails = res.Counters.Rails
 	return res, nil
 }
 

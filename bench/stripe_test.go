@@ -59,16 +59,16 @@ func TestStripedBeatsUnstripedEagerSegments(t *testing.T) {
 	// The per-rail counters must show real payload on both wires for the
 	// striped run. The unstriped run keeps the payload on one rail (only
 	// control-sized traffic elsewhere).
-	if len(striped.Rails) != 2 {
-		t.Fatalf("expected two rail counters, got %v", striped.Rails)
+	if len(striped.Counters.Rails) != 2 {
+		t.Fatalf("expected two rail counters, got %v", striped.Counters.Rails)
 	}
-	for _, rc := range striped.Rails {
+	for _, rc := range striped.Counters.Rails {
 		if rc.Bytes < 1<<20 {
 			t.Errorf("striped run: rail %s carried only %d bytes", rc.Name, rc.Bytes)
 		}
 	}
-	minU, maxU := unstriped.Rails[0].Bytes, unstriped.Rails[0].Bytes
-	for _, rc := range unstriped.Rails[1:] {
+	minU, maxU := unstriped.Counters.Rails[0].Bytes, unstriped.Counters.Rails[0].Bytes
+	for _, rc := range unstriped.Counters.Rails[1:] {
 		if rc.Bytes < minU {
 			minU = rc.Bytes
 		}
@@ -77,7 +77,7 @@ func TestStripedBeatsUnstripedEagerSegments(t *testing.T) {
 		}
 	}
 	if minU > maxU/10 {
-		t.Errorf("unstriped run should keep the payload on one rail, got %v", unstriped.Rails)
+		t.Errorf("unstriped run should keep the payload on one rail, got %v", unstriped.Counters.Rails)
 	}
 }
 

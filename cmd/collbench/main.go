@@ -15,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -137,14 +136,7 @@ func main() {
 	for i := range ops {
 		ops[i] = strings.TrimSpace(ops[i])
 	}
-	stack, ok := tune.StackByName(*stackFlag)
-	if !ok {
-		var names []string
-		for _, p := range tune.PresetStacks() {
-			names = append(names, p.Name)
-		}
-		log.Fatalf("unknown stack %q (presets: %s)", *stackFlag, strings.Join(names, ", "))
-	}
+	stack := cli.Stack(*stackFlag)
 
 	// Forced linear-depth rows are dropped beyond this rank count (see the
 	// sweep loop); the bound keeps the default grids intact while letting
@@ -169,7 +161,7 @@ func main() {
 		return row{Op: op, Algo: algo.String(), Skew: skew, Seg: seg, Stripe: stripe, Bytes: bytes,
 			TwoLevel: algo == coll.AlgoTwoLevel, Cache: cache,
 			PerOpUS: r.PerOp * 1e6, HostMS: r.HostMS,
-			Compiles: r.Compiles, Hits: r.Hits, Rails: r.Rails, Counters: r.Counters}
+			Compiles: r.Compiles, Hits: r.Hits, Rails: r.Counters.Rails, Counters: r.Counters}
 	}
 
 	if *traceOut != "" {
@@ -185,18 +177,8 @@ func main() {
 		if _, err := bench.CollBenchOnce(stack, o); err != nil {
 			log.Fatalf("traced %s/%dB: %v", op, sizes[0], err)
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteChrome(f, tr); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%s, %dB, auto, cache on)\n", *traceOut, op, sizes[0])
-		trace.Summarize(tr).WriteText(os.Stderr)
+		fmt.Fprintf(os.Stderr, "trace: %s, %dB, auto, cache on\n", op, sizes[0])
+		cli.WriteTrace(*traceOut, tr)
 	}
 
 	for _, op := range ops {
@@ -248,11 +230,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			log.Fatal(err)
-		}
+		cli.JSON(rows)
 		return
 	}
 

@@ -34,7 +34,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -131,11 +130,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			log.Fatal(err)
-		}
+		cli.JSON(rows)
 		checkAllocs(rows, *maxAllocs)
 		return
 	}

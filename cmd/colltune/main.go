@@ -127,16 +127,7 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		s, ok := tune.StackByName(*stackFlag)
-		if !ok {
-			var names []string
-			for _, p := range tune.PresetStacks() {
-				names = append(names, p.Name)
-			}
-			log.Fatalf("unknown stack %q (presets: %s, or \"all\")",
-				*stackFlag, strings.Join(names, ", "))
-		}
-		stacks = []cluster.Stack{s}
+		stacks = []cluster.Stack{cli.Stack(*stackFlag)}
 	}
 
 	runSweeps(stacks, opts, *stackFlag, *out, *check)

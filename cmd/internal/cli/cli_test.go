@@ -2,6 +2,7 @@ package cli
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -33,5 +34,15 @@ func TestParseInts(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseInts(%q, min %d) = %v, %v; want %v", tc.value, tc.min, got, err, tc.want)
 		}
+	}
+}
+
+func TestStackByName(t *testing.T) {
+	if s, err := stackByName("mvapich2"); err != nil || s.Name != "mvapich2" {
+		t.Fatalf("stackByName(mvapich2) = %q, %v", s.Name, err)
+	}
+	_, err := stackByName("nope")
+	if err == nil || !strings.Contains(err.Error(), `unknown stack "nope" (presets: mpich2-nmad-ib, `) {
+		t.Fatalf("stackByName(nope) error = %v, want the preset list", err)
 	}
 }

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -15,6 +14,7 @@ import (
 
 	"repro/bench"
 	"repro/cluster"
+	"repro/cmd/internal/cli"
 	"repro/internal/nmad"
 	"repro/internal/simnet"
 )
@@ -92,11 +92,7 @@ func main() {
 	flag.Parse()
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(buildDoc()); err != nil {
-			log.Fatal(err)
-		}
+		cli.JSON(buildDoc())
 		return
 	}
 

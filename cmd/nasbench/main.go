@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -78,11 +77,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonRows); err != nil {
-			log.Fatal(err)
-		}
+		cli.JSON(jsonRows)
 	}
 
 	if *traceOut != "" {
@@ -92,18 +87,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := trace.WriteChrome(f, tr); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%s class %c np=%d, %s)\n",
-			*traceOut, r.Kernel, class, r.NP, r.Stack)
-		trace.Summarize(tr).WriteText(os.Stderr)
+		fmt.Fprintf(os.Stderr, "trace: %s class %c np=%d, %s\n", r.Kernel, class, r.NP, r.Stack)
+		cli.WriteTrace(*traceOut, tr)
 	}
 }

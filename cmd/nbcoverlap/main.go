@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +18,7 @@ import (
 
 	"repro/bench"
 	"repro/cluster"
+	"repro/cmd/internal/cli"
 	"repro/internal/trace"
 )
 
@@ -91,11 +91,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			log.Fatal(err)
-		}
+		cli.JSON(rows)
 	}
 	if wins == 0 {
 		fmt.Fprintln(os.Stderr, "RESULT: PIOMan never improved the overlap ratio — progression is broken")
@@ -128,18 +124,8 @@ func writeTrace(path string, base cluster.Stack, o bench.NbcOverlapOptions) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trace.WriteChrome(f, tr); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "\ntrace: wrote %s\n", path)
-	trace.Summarize(tr).WriteText(os.Stderr)
+	fmt.Fprintln(os.Stderr)
+	cli.WriteTrace(path, tr)
 	fmt.Fprintf(os.Stderr, "overlap cross-check: measured %.2f%%, trace-derived %.2f%%\n",
 		100*r.OverlapRatio(), 100*tres.OverlapRatio())
 	if d := r.OverlapRatio() - tres.OverlapRatio(); d > 0.01 || d < -0.01 {

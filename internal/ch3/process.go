@@ -151,10 +151,8 @@ type Process struct {
 	// source; notifications that need the ANY_SOURCE probe route to it.
 	shard int
 
-	// Stats.
-	ShmEagerSends int64
-	ShmRdvSends   int64
-	UnexpectedLen int64
+	// ShmRdvSends counts shared-memory rendezvous sends (tests read it).
+	ShmRdvSends int64
 }
 
 // jobQueue is one destination's FIFO of pending shm jobs, consumed via a
@@ -253,23 +251,12 @@ func (p *Process) peer(rank int) *peerState {
 	return ps
 }
 
-// VCOf returns the virtual connection to rank.
-func (p *Process) VCOf(rank int) *VC { return &p.peer(rank).vc }
-
-// Engine returns the simulation engine.
-func (p *Process) Engine() *vtime.Engine { return p.e }
-
 // ShmMemBW returns the node copy bandwidth (0 when no shm endpoint).
 func (p *Process) ShmMemBW() float64 {
 	if p.shm == nil {
 		return 4e9
 	}
 	return p.shm.Options().MemBW
-}
-
-// NewSendRequest builds a send request (exposed for backends and tests).
-func (p *Process) NewSendRequest(dst int, tag, ctx int32, data []byte) *Request {
-	return &Request{p: p, kind: sendReq, dst: int32(dst), tag: tag, ctx: ctx, data: data}
 }
 
 // ---- request/job free lists ----------------------------------------------
@@ -336,7 +323,10 @@ func (p *Process) nextQSeq() uint64 {
 
 // Isend starts a send of data to dst under (ctx, tag). The caller's proc is
 // charged the software overhead; same-node traffic goes through the Nemesis
-// cell queues, remote traffic through the VC send override or backend.
+// cell queues, remote traffic through the VC send override or backend. A
+// send to this rank itself is one eager arrival into CH3 matching, so it
+// meets ANY_SOURCE receives like any other message; it completes at once
+// and costs no virtual time.
 func (p *Process) Isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte) *Request {
 	return p.isend(proc, dst, tag, ctx, data, 0, false)
 }
@@ -357,7 +347,7 @@ func (p *Process) IsendRailPooled(proc *vtime.Proc, dst int, tag, ctx int32, dat
 }
 
 func (p *Process) isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, rail int, pooled bool) *Request {
-	if p.cfg.SendSW > 0 {
+	if dst != p.Rank && p.cfg.SendSW > 0 {
 		proc.Sleep(p.cfg.SendSW)
 	}
 	var r *Request
@@ -367,10 +357,13 @@ func (p *Process) isend(proc *vtime.Proc, dst int, tag, ctx int32, data []byte, 
 		r = &Request{p: p, kind: sendReq}
 	}
 	r.dst, r.tag, r.ctx, r.data, r.Rail = int32(dst), tag, ctx, data, rail
-	if dst == p.Rank {
-		panic("ch3: self-send must be handled by the MPI layer")
-	}
 	p.track(r)
+	if dst == p.Rank {
+		p.HandleArrival(shmq.Header{Type: shmq.CellData, Src: int32(dst), Tag: tag,
+			Ctx: ctx, MsgLen: int64(len(data))}, data, shmOrigin{})
+		r.Complete()
+		return r
+	}
 	vc := &p.peer(dst).vc
 	if vc.SameNode {
 		p.isendShm(proc, r)
@@ -390,7 +383,6 @@ func (p *Process) isendShm(proc *vtime.Proc, r *Request) {
 	seq := ps.seqTo
 	ps.seqTo++
 	if len(r.data) <= p.cfg.EagerShmMax {
-		p.ShmEagerSends++
 		p.rec.Instant("proto", "shm-eager",
 			trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(r.data))))
 		j := p.getJob()
@@ -434,7 +426,7 @@ func (p *Process) IrecvPooled(proc *vtime.Proc, src int, tag, ctx int32, buf []b
 }
 
 func (p *Process) irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte, pooled bool) *Request {
-	if p.cfg.RecvSW > 0 {
+	if src != p.Rank && p.cfg.RecvSW > 0 {
 		proc.Sleep(p.cfg.RecvSW)
 	}
 	var r *Request
@@ -454,7 +446,8 @@ func (p *Process) irecv(proc *vtime.Proc, src int, tag, ctx int32, buf []byte, p
 	}
 
 	central := p.backend == nil || p.backend.CentralMatching()
-	remoteKnown := src != int(AnySource) && !p.peer(src).vc.SameNode
+	// Self-receives match in CH3 only: isend delivers self-sends there.
+	remoteKnown := src != int(AnySource) && src != p.Rank && !p.peer(src).vc.SameNode
 
 	if src == int(AnySource) || !remoteKnown || central {
 		p.posted.add(r, p.nextQSeq())
@@ -497,6 +490,9 @@ func (p *Process) tryUnexpected(r *Request) (vtime.Duration, bool) {
 	n := copy(r.buf, u.data)
 	r.SetRecvStatus(u.src, u.tag, n, n < u.msgLen)
 	r.Complete()
+	if u.src == int32(p.Rank) {
+		return 0, true // self-sends are free (see Isend)
+	}
 	return copyCost(n, p.ShmMemBW()), true
 }
 
@@ -760,7 +756,6 @@ func (p *Process) handleEagerFrag(hdr shmq.Header, payload []byte, org Origin) v
 		data: make([]byte, msgLen), org: org}
 	n := copy(u.data, payload)
 	cost := copyCost(n, p.ShmMemBW())
-	p.UnexpectedLen++
 	if len(payload) < msgLen {
 		u.pendingFrags = 1
 		u.key = key
@@ -781,7 +776,6 @@ func (p *Process) handleRTS(hdr shmq.Header, org Origin) vtime.Duration {
 	p.uq.add(&uqEntry{ctx: hdr.Ctx, src: hdr.Src, tag: hdr.Tag,
 		msgLen: int(hdr.MsgLen), isRTS: true, rtsCookie: hdr.ReqID, org: org},
 		p.nextQSeq())
-	p.UnexpectedLen++
 	return 0
 }
 

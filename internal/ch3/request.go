@@ -167,20 +167,6 @@ func (r *Request) String() string {
 		k, r.ctx, r.src, r.dst, r.tag, r.done)
 }
 
-// matches reports whether an arrival (ctx, src, tag) satisfies receive r.
-func (r *Request) matches(ctx, src, tag int32) bool {
-	if r.ctx != ctx {
-		return false
-	}
-	if r.src != AnySource && r.src != src {
-		return false
-	}
-	if r.tag != AnyTag && r.tag != tag {
-		return false
-	}
-	return true
-}
-
 // uqEntry is one unexpected message held by the CH3 layer (shared-memory or
 // packet-backend arrivals; direct-module network arrivals stay in
 // NewMadeleine's own buffers).

@@ -50,12 +50,6 @@ type Direct struct {
 	nm  *nmad.Core
 	cfg DirectConfig
 	as  *asSet
-
-	// Stats.
-	NetSends    int64
-	NetRecvs    int64
-	ASProbeHits int64
-	Deferred    int64
 }
 
 // NewDirect builds the module for process p over NewMadeleine core nm.
@@ -89,7 +83,6 @@ func (d *Direct) Isend(proc *vtime.Proc, req *ch3.Request) {
 	rctx, _, rtag := reqTriple(req)
 	nr := d.nm.ISendRail(gate, encodeTag(rctx, d.p.Rank, rtag), req.Data(), req.Rail)
 	req.Nmad = nr
-	d.NetSends++
 	nr.SetOnComplete(func(*nmad.Request) { req.Complete() })
 }
 
@@ -107,7 +100,6 @@ func (d *Direct) PostRecv(req *ch3.Request) {
 	ctx, _, tag := req.MatchTriple()
 	if l := d.as.blockingList(ctx, tag); l != nil {
 		d.as.defer_(l, req)
-		d.Deferred++
 		return
 	}
 	d.postNmad(req)
@@ -120,7 +112,6 @@ func (d *Direct) postNmad(req *ch3.Request) {
 	gate := d.nm.Gate(int(src))
 	nr := d.nm.IRecv(gate, t, mask, req.Buffer())
 	req.Nmad = nr
-	d.NetRecvs++
 	nr.SetOnComplete(func(r *nmad.Request) {
 		st := r.Status()
 		_, _, mpiTag := decodeTag(st.Tag)
@@ -184,7 +175,6 @@ func (d *Direct) Progress() (int, vtime.Duration) {
 		// network source now, so the request leaves the CH3 posted queue
 		// immediately (the shared-memory path must no longer match it).
 		l.headPosted = true
-		d.ASProbeHits++
 		cost += d.cfg.ASCheck
 		d.p.RemovePosted(head)
 		list := l
@@ -210,6 +200,3 @@ func (d *Direct) Progress() (int, vtime.Duration) {
 	}
 	return events, cost
 }
-
-// PendingASLists reports the number of open ANY_SOURCE lists (diagnostics).
-func (d *Direct) PendingASLists() int { return len(d.as.lists) }

@@ -58,10 +58,6 @@ type Packet struct {
 	peers []*Packet // by rank; nil for self/same-node
 
 	inbox []netPkt
-
-	// Stats.
-	PktsSent int64
-	PktsRecv int64
 }
 
 // NewPacket builds the backend for p on the given node, using rail 0 of net
@@ -107,7 +103,6 @@ func (b *Packet) Poll() (int, vtime.Duration) {
 		pkt := b.inbox[0]
 		b.inbox = b.inbox[1:]
 		events++
-		b.PktsRecv++
 		cost += pkt.consume + b.cfg.PacketCost
 		cost += b.p.HandleArrival(pkt.hdr, pkt.data, netOrigin{b})
 	}
@@ -164,7 +159,6 @@ func (b *Packet) sendPacket(dst int, hdr shmq.Header, data []byte,
 	}
 	from, to := b.node, peer.node
 	b.mgr.PostTask(pioman.Task{Cost: cost, Run: func() {
-		b.PktsSent++
 		b.rail.Transfer(from, to, size, &netPkt{hdr: hdr, data: data},
 			func(d simnet.Delivery) {
 				pkt := d.Payload.(*netPkt)
@@ -249,9 +243,6 @@ type GenericNmad struct {
 	cfg PacketConfig
 
 	scratch []byte
-
-	PktsSent int64
-	PktsRecv int64
 }
 
 // NewGenericNmad builds the module and starts its persistent channel
@@ -301,7 +292,6 @@ func (g *GenericNmad) repostChannel() {
 		st := r.Status()
 		hdr := decodeHeader(buf)
 		payload := buf[headerWireBytes:st.Len]
-		g.PktsRecv++
 		cost := g.p.HandleArrival(hdr, payload, genOrigin{g})
 		g.nm.Owe(cost)
 		g.repostChannel()
@@ -337,7 +327,6 @@ func (g *GenericNmad) sendChan(dst int, hdr shmq.Header, data []byte, onDone fun
 	encodeHeader(hdr, msg)
 	copy(msg[headerWireBytes:], data)
 	g.nm.Owe(copyCostAt(len(data), g.p.ShmMemBW()))
-	g.PktsSent++
 	nr := g.nm.ISend(g.nm.Gate(dst), chanTagBit, msg)
 	if onDone != nil {
 		nr.SetOnComplete(func(*nmad.Request) { onDone() })

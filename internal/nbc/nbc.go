@@ -107,9 +107,6 @@ func (e *Engine) DisablePooling() { e.pooling = false }
 // starting operations.
 func (e *Engine) SetShard(key int) { e.shard = key }
 
-// Started returns the number of operations started.
-func (e *Engine) Started() int64 { return e.started.Value() }
-
 // Completed returns the number of operations completed.
 func (e *Engine) Completed() int64 { return e.completed.Value() }
 

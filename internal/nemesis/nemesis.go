@@ -75,10 +75,9 @@ type Endpoint struct {
 	handler Handler
 	notify  func()
 
-	// Stats.
-	CellsSent int64
-	CellsRecv int64
-	SendStall int64 // times a sender found its free queue empty
+	// SendStall counts the times a sender found its free queue empty
+	// (tests read it).
+	SendStall int64
 }
 
 // NewEndpoint creates the endpoint for rank with its cell pool.
@@ -94,9 +93,6 @@ func NewEndpoint(e *vtime.Engine, rank int, opt Options) (*Endpoint, error) {
 		notify: func() {},
 	}, nil
 }
-
-// Rank returns the owning rank.
-func (ep *Endpoint) Rank() int { return ep.rank }
 
 // Options returns the active cost model.
 func (ep *Endpoint) Options() Options { return ep.opt }
@@ -140,7 +136,6 @@ func (ep *Endpoint) TrySendFragment(dst int, hdr shmq.Header, frag []byte) (vtim
 	cell.Hdr = hdr
 	cell.SetPayload(frag)
 	peer.pool.Recv.Enqueue(cell)
-	ep.CellsSent++
 	ep.opt.Rec.Instant("nemesis", "cell-send",
 		trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(frag))))
 	cost := ep.opt.EnqueueCost + ep.opt.DequeueCost + copyCost(len(frag), ep.opt.MemBW)
@@ -163,7 +158,6 @@ func (ep *Endpoint) Poll() (int, vtime.Duration) {
 			break
 		}
 		events++
-		ep.CellsRecv++
 		cost += ep.opt.DequeueCost
 		if ep.handler == nil {
 			panic(fmt.Sprintf("nemesis[%d]: cell arrived with no handler", ep.rank))

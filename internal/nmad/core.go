@@ -131,13 +131,12 @@ type Core struct {
 	// receive against the unexpected store); the next Poll charges them.
 	owed vtime.Duration
 
-	// Stats.
-	PwsSent       int64
-	PwsRecv       int64
-	EntriesSent   int64
-	Aggregated    int64 // entries that shared a pw with another entry
-	UnexpectedHit int64
-	RdvStarted    int64
+	// Stats (tests read them; run-wide statistics live in the trace
+	// registry).
+	PwsSent     int64
+	EntriesSent int64
+	Aggregated  int64 // entries that shared a pw with another entry
+	RdvStarted  int64
 }
 
 // New creates a Core for the process `rank` living on cluster node `node`.
@@ -286,7 +285,6 @@ func (c *Core) IRecv(g *Gate, tag, mask uint64, buf []byte) *Request {
 	for i, u := range c.unexpected {
 		if c.matchesUnexp(r, u) {
 			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			c.UnexpectedHit++
 			c.consumeUnexpected(r, u)
 			return r
 		}
@@ -522,9 +520,6 @@ func (c *Core) deliverPw(d simnet.Delivery) {
 	c.opt.Notify()
 }
 
-// HasPending reports whether any inbox entries or kicked gates await Poll.
-func (c *Core) HasPending() bool { return len(c.inbox) > 0 || len(c.kicked) > 0 || c.owed > 0 }
-
 // SourceName implements pioman.Source.
 func (c *Core) SourceName() string { return fmt.Sprintf("nmad[%d]", c.rank) }
 
@@ -541,7 +536,6 @@ func (c *Core) Poll() (int, vtime.Duration) {
 		in := c.inbox[0]
 		c.inbox = c.inbox[1:]
 		events++
-		c.PwsRecv++
 		c.opt.Rec.Instant("nmad", "pw-recv",
 			trace.Int64("src", int64(in.pw.From)),
 			trace.Int64("entries", int64(len(in.pw.Entries))))

@@ -257,9 +257,6 @@ func (m *Manager) BgSteals() int64 { return m.bgSteals.Value() }
 // AppPolls returns the number of application-thread progress passes.
 func (m *Manager) AppPolls() int64 { return m.appPolls.Value() }
 
-// AppEvents returns the number of events handled on application threads.
-func (m *Manager) AppEvents() int64 { return m.appEvents.Value() }
-
 // Enabled reports whether the background regime is active.
 func (m *Manager) Enabled() bool { return m.cfg.Enabled }
 

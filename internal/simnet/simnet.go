@@ -150,9 +150,6 @@ func (n *Network) Rails() []*Rail { return n.rails }
 // Rail returns rail i.
 func (n *Network) Rail(i int) *Rail { return n.rails[i] }
 
-// NumRails returns the number of configured rails.
-func (n *Network) NumRails() int { return len(n.rails) }
-
 // Delivery carries an arrived wire packet to its consumer callback.
 type Delivery struct {
 	Rail     *Rail

@@ -8,40 +8,16 @@ import (
 	"repro/internal/vtime"
 )
 
-// Summary condenses one traced run into the quantities the paper argues
-// about: where progress happened (application vs background polling),
-// how effective schedule caching was, what moved over each rail, how long
-// each collective algorithm's rounds ran, and how much computation
-// actually overlapped in-flight nonblocking collectives. JSON-marshalling
-// the struct is deterministic (fixed fields and sorted slices only).
+// Summary condenses one traced run into what only the event stream can
+// tell: how long each collective algorithm's rounds ran and how much
+// computation actually overlapped in-flight nonblocking collectives. The
+// run's counters (poll split, schedule cache, pools, rail traffic) ride
+// along as the registry's own sorted list; mpi.CounterSnapshot is their
+// typed view. JSON-marshalling the struct is deterministic (fixed fields
+// and sorted slices only).
 type Summary struct {
 	Events int `json:"events"`
 	Ranks  int `json:"ranks"`
-
-	// Poll attribution (cross-rank counter totals).
-	AppPolls  int64 `json:"app_polls"`
-	AppEvents int64 `json:"app_events"`
-	BgPolls   int64 `json:"bg_polls"`
-	BgEvents  int64 `json:"bg_events"`
-	BgTasks   int64 `json:"bg_tasks"`
-	BgSteals  int64 `json:"bg_steals"`
-
-	// Workers breaks background progression down per PIOMan worker
-	// (cross-rank totals; present when the run used the Enabled regime).
-	Workers []WorkerStat `json:"workers,omitempty"`
-
-	// Schedule-cache effectiveness.
-	SchedCompiles int64   `json:"sched_compiles"`
-	SchedHits     int64   `json:"sched_hits"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-
-	// Free-list effectiveness on the request/op hot paths, plus the peak
-	// number of CH3 requests concurrently in flight on any one rank.
-	ReqPoolHits     int64 `json:"req_pool_hits"`
-	ReqPoolMisses   int64 `json:"req_pool_misses"`
-	OpPoolHits      int64 `json:"op_pool_hits"`
-	OpPoolMisses    int64 `json:"op_pool_misses"`
-	ReqInFlightPeak int64 `json:"req_in_flight_peak"`
 
 	// RoundTimings aggregates the per-round slices (ph X, cat "round") by
 	// op/algorithm name, sorted by name.
@@ -55,16 +31,6 @@ type Summary struct {
 	// Counters is the full sorted counter snapshot (rank totals plus the
 	// run-level registry: rail traffic lives here).
 	Counters []NamedValue `json:"counters,omitempty"`
-}
-
-// WorkerStat is one PIOMan worker's background-progression breakdown,
-// summed across ranks (worker i of every rank contributes to entry i).
-type WorkerStat struct {
-	Worker int   `json:"worker"`
-	Polls  int64 `json:"polls"`
-	Events int64 `json:"events"`
-	Tasks  int64 `json:"tasks"`
-	Steals int64 `json:"steals"`
 }
 
 // RoundTiming aggregates one op/algorithm's executed rounds.
@@ -89,35 +55,7 @@ type ival struct{ lo, hi int64 }
 
 // Summarize folds a bound trace (and its attached metrics) into a Summary.
 func Summarize(t *Trace) *Summary {
-	s := &Summary{Events: len(t.events), Ranks: t.np}
-	if m := t.metrics; m != nil {
-		s.AppPolls = m.Total(CtrAppPolls)
-		s.AppEvents = m.Total(CtrAppEvents)
-		s.BgPolls = m.Total(CtrBgPolls)
-		s.BgEvents = m.Total(CtrBgEvents)
-		s.BgTasks = m.Total(CtrBgTasks)
-		s.BgSteals = m.Total(CtrBgSteals)
-		for i := 0; i < int(m.GaugePeak(GaugeWorkers)); i++ {
-			s.Workers = append(s.Workers, WorkerStat{
-				Worker: i,
-				Polls:  m.Total(CtrWorkerPolls(i)),
-				Events: m.Total(CtrWorkerEvents(i)),
-				Tasks:  m.Total(CtrWorkerTasks(i)),
-				Steals: m.Total(CtrWorkerSteals(i)),
-			})
-		}
-		s.SchedCompiles = m.Total(CtrSchedCompiles)
-		s.SchedHits = m.Total(CtrSchedHits)
-		if n := s.SchedCompiles + s.SchedHits; n > 0 {
-			s.CacheHitRate = float64(s.SchedHits) / float64(n)
-		}
-		s.ReqPoolHits = m.Total(CtrReqPoolHits)
-		s.ReqPoolMisses = m.Total(CtrReqPoolMisses)
-		s.OpPoolHits = m.Total(CtrOpPoolHits)
-		s.OpPoolMisses = m.Total(CtrOpPoolMisses)
-		s.ReqInFlightPeak = m.GaugePeak(GaugeReqsInFlight)
-		s.Counters = m.Totals()
-	}
+	s := &Summary{Events: len(t.events), Ranks: t.np, Counters: t.metrics.Totals()}
 
 	// Round slices by name.
 	type agg struct {
@@ -228,21 +166,6 @@ func intersectIvals(a, b []ival) float64 {
 // WriteText renders the summary human-readably.
 func (s *Summary) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "trace summary: %d events over %d ranks\n", s.Events, s.Ranks)
-	fmt.Fprintf(w, "  progress: app %d polls / %d events, background %d polls / %d events / %d tasks / %d steals\n",
-		s.AppPolls, s.AppEvents, s.BgPolls, s.BgEvents, s.BgTasks, s.BgSteals)
-	if len(s.Workers) > 0 {
-		fmt.Fprintf(w, "  pioman workers:\n")
-		for _, ws := range s.Workers {
-			fmt.Fprintf(w, "    worker %-3d %8d polls %8d events %8d tasks %8d steals\n",
-				ws.Worker, ws.Polls, ws.Events, ws.Tasks, ws.Steals)
-		}
-	}
-	fmt.Fprintf(w, "  schedule cache: %d compiles, %d hits (%.0f%% hit rate)\n",
-		s.SchedCompiles, s.SchedHits, 100*s.CacheHitRate)
-	if s.ReqPoolHits+s.ReqPoolMisses+s.OpPoolHits+s.OpPoolMisses > 0 {
-		fmt.Fprintf(w, "  pools: requests %d hits / %d misses, nbc ops %d hits / %d misses; peak in-flight requests %d\n",
-			s.ReqPoolHits, s.ReqPoolMisses, s.OpPoolHits, s.OpPoolMisses, s.ReqInFlightPeak)
-	}
 	if len(s.RoundTimings) > 0 {
 		fmt.Fprintf(w, "  round timings:\n")
 		for _, rt := range s.RoundTimings {

@@ -135,12 +135,6 @@ func (t *Trace) Bind(e *vtime.Engine, np int) error {
 // counter totals into the trace summary.
 func (t *Trace) AttachMetrics(m *Metrics) { t.metrics = m }
 
-// Metrics returns the attached registries (nil before the run).
-func (t *Trace) Metrics() *Metrics { return t.metrics }
-
-// NP returns the bound rank count (0 before Bind).
-func (t *Trace) NP() int { return t.np }
-
 // Recorder returns rank's recorder. Panics if unbound or out of range —
 // recorders only exist for the run the trace is bound to.
 func (t *Trace) Recorder(rank int) *Recorder {

@@ -246,9 +246,6 @@ func (p *Proc) SetLabel(l int) { p.label = l }
 // Label returns the classification stamped by SetLabel.
 func (p *Proc) Label() int { return p.label }
 
-// Engine returns the engine driving this process.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 

@@ -131,31 +131,11 @@ func clearBufArgs(ba *coll.BufArgs) {
 
 // SchedCacheStats reports how many schedules this communicator compiled and
 // how many invocations reused a cached one — instrumentation for tests and
-// cmd/collbench.
+// cmd/collbench. It counts per communicator; the registry's
+// coll.sched_compiles / coll.sched_hits sum every communicator of the rank.
 func (c *Comm) SchedCacheStats() (compiles, hits int64) {
 	if c.cache == nil {
 		return 0, 0
 	}
 	return c.cache.compiles, c.cache.hits
-}
-
-// PoolStats reports this rank's hot-path free-list effectiveness alongside
-// SchedCacheStats: request- and op-pool hits/misses plus the peak number of
-// CH3 requests concurrently in flight.
-type PoolStats struct {
-	ReqHits, ReqMisses int64
-	OpHits, OpMisses   int64
-	ReqInFlightPeak    int64
-}
-
-// PoolStats snapshots the rank's pool counters (registered by Run on the
-// same registry the schedule-cache counters live in).
-func (c *Comm) PoolStats() PoolStats {
-	return PoolStats{
-		ReqHits:         c.met.Counter(trace.CtrReqPoolHits).Value(),
-		ReqMisses:       c.met.Counter(trace.CtrReqPoolMisses).Value(),
-		OpHits:          c.met.Counter(trace.CtrOpPoolHits).Value(),
-		OpMisses:        c.met.Counter(trace.CtrOpPoolMisses).Value(),
-		ReqInFlightPeak: c.met.Gauge(trace.GaugeReqsInFlight).Peak(),
-	}
 }

@@ -28,20 +28,13 @@ func fromCH3(s ch3.Status) Status {
 // collective).
 type Request struct {
 	c  *Comm
-	r  *ch3.Request // nil for self-sends/recvs and collectives
+	r  *ch3.Request // point-to-point, nil for collectives
 	op *nbc.Op      // nonblocking collective, nil otherwise
-	st *Status      // self-op status (set on completion)
-	ok *bool        // self-op completion flag
 
 	// opGen pins the collective op's acquisition generation: completed ops
 	// recycle inside the engine, so completion is read through DoneGen,
 	// which stays correct after the struct is reused for another start.
 	opGen uint64
-
-	// Self-receive matching state.
-	selfTag int32
-	selfCtx int32
-	selfBuf []byte
 }
 
 // Done reports completion.
@@ -49,10 +42,7 @@ func (q *Request) Done() bool {
 	if q.op != nil {
 		return q.op.DoneGen(q.opGen)
 	}
-	if q.r != nil {
-		return q.r.Done()
-	}
-	return *q.ok
+	return q.r.Done()
 }
 
 // Comm is one rank's communicator handle (MPI_COMM_WORLD by default; Dup
@@ -86,21 +76,12 @@ type Comm struct {
 
 	rec *trace.Recorder // event recorder (nil when tracing is off)
 	met *trace.Registry // this rank's counter registry (never nil under Run)
-
-	selfSends []selfMsg
-	selfRecvs []*Request
 }
 
 // ctxStride is the context ids per communicator: ctx, one unused, nbcCtx.
 // Stride 3 keeps nbcCtx, the PIOMan shard key, alternating parity across
 // communicators (stride 2 would put them all on one shard at Workers=2).
 const ctxStride = 3
-
-type selfMsg struct {
-	tag  int32
-	ctx  int32
-	data []byte
-}
 
 func newComm(cfg Config, proc *vtime.Proc, p *ch3.Process, node *marcel.Node,
 	mgr *pioman.Manager, rec *trace.Recorder, met *trace.Registry) *Comm {
@@ -151,7 +132,8 @@ func (c *Comm) Size() int { return len(c.group) }
 func (c *Comm) world(r int) int { return c.group[r] }
 
 // localOf translates a world rank back to this communicator's numbering
-// (identity for ranks outside the group, which only self-ops produce).
+// (identity for ranks outside the group, which context matching never
+// delivers).
 func (c *Comm) localOf(w int) int {
 	if w >= 0 && w < len(c.inv) && c.inv[w] >= 0 {
 		return c.inv[w]
@@ -168,8 +150,6 @@ func (c *Comm) Dup() *Comm {
 	*c.nextCtx += ctxStride
 	d.nbcEng = nil
 	d.cache = nil
-	d.selfSends = nil
-	d.selfRecvs = nil
 	return &d
 }
 
@@ -197,9 +177,6 @@ func (c *Comm) ComputeFlops(ops float64) {
 func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	defer c.span("Isend", trace.Int64("dst", int64(dst)), trace.Int64("bytes", int64(len(data))))()
 	c.checkRank(dst, "Isend")
-	if dst == c.rank {
-		return c.selfIsend(int32(tag), c.ctx, data)
-	}
 	return &Request{c: c, r: c.p.Isend(c.proc, c.world(dst), int32(tag), c.ctx, data)}
 }
 
@@ -208,9 +185,6 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 	defer c.span("Irecv", trace.Int64("src", int64(src)))()
 	if src != AnySource {
 		c.checkRank(src, "Irecv")
-	}
-	if src == c.rank {
-		return c.selfIrecv(int32(tag), c.ctx, buf)
 	}
 	wsrc := src
 	if src != AnySource {
@@ -294,16 +268,10 @@ func (c *Comm) Sendrecv(dst, stag int, sdata []byte, src, rtag int, rbuf []byte)
 }
 
 func (q *Request) status() Status {
-	if q.r != nil {
-		if q.r.IsRecv() {
-			st := fromCH3(q.r.Stat)
-			st.Source = q.c.localOf(st.Source)
-			return st
-		}
-		return Status{}
-	}
-	if q.st != nil {
-		return *q.st
+	if q.r != nil && q.r.IsRecv() {
+		st := fromCH3(q.r.Stat)
+		st.Source = q.c.localOf(st.Source)
+		return st
 	}
 	return Status{}
 }
@@ -312,56 +280,4 @@ func (c *Comm) checkRank(r int, op string) {
 	if r < 0 || r >= c.Size() {
 		panic(fmt.Sprintf("mpi: %s rank %d out of range [0,%d)", op, r, c.Size()))
 	}
-}
-
-// ---- self messaging ---------------------------------------------------------
-//
-// MPI allows a process to send to itself (nonblocking, buffered below the
-// eager threshold). Matching is by (ctx, tag); AnySource receives do not
-// match self messages in this implementation (documented limitation).
-
-func (c *Comm) selfIsend(tag, ctx int32, data []byte) *Request {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	done := true
-	q := &Request{c: c, ok: &done}
-	// Try pending self receives first (FIFO).
-	for i, rq := range c.selfRecvs {
-		if rq.matchSelf(tag, ctx) {
-			copy(c.selfRecvs[i:], c.selfRecvs[i+1:])
-			c.selfRecvs[len(c.selfRecvs)-1] = nil // drop the tail reference
-			c.selfRecvs = c.selfRecvs[:len(c.selfRecvs)-1]
-			rq.completeSelf(c.rank, tag, cp)
-			return q
-		}
-	}
-	c.selfSends = append(c.selfSends, selfMsg{tag: tag, ctx: ctx, data: cp})
-	return q
-}
-
-func (q *Request) matchSelf(tag, ctx int32) bool {
-	return q.selfCtx == ctx && (q.selfTag == int32(AnyTag) || q.selfTag == tag)
-}
-
-func (q *Request) completeSelf(src int, tag int32, data []byte) {
-	n := copy(q.selfBuf, data)
-	*q.ok = true
-	*q.st = Status{Source: src, Tag: int(tag), Len: n, Truncated: n < len(data)}
-}
-
-func (c *Comm) selfIrecv(tag, ctx int32, buf []byte) *Request {
-	done := false
-	st := Status{}
-	q := &Request{c: c, ok: &done, st: &st, selfTag: tag, selfCtx: ctx, selfBuf: buf}
-	for i, m := range c.selfSends {
-		if m.ctx == ctx && (tag == int32(AnyTag) || tag == m.tag) {
-			copy(c.selfSends[i:], c.selfSends[i+1:])
-			c.selfSends[len(c.selfSends)-1] = selfMsg{} // drop the tail's payload
-			c.selfSends = c.selfSends[:len(c.selfSends)-1]
-			q.completeSelf(c.rank, m.tag, m.data)
-			return q
-		}
-	}
-	c.selfRecvs = append(c.selfRecvs, q)
-	return q
 }

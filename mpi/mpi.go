@@ -165,13 +165,6 @@ type PiomanConfig struct {
 	Workers int
 }
 
-// RailStat summarizes one rail's traffic after a run.
-type RailStat struct {
-	Name    string
-	Packets int64
-	Bytes   int64
-}
-
 // Report is returned by Run.
 type Report struct {
 	// Seconds is the virtual time at which the simulation drained.
@@ -180,8 +173,9 @@ type Report struct {
 	// a deterministic (noise-free) proxy for host-side work, bit-identical
 	// across repetitions of the same configuration.
 	Events int64
-	// Rails holds per-rail traffic statistics.
-	Rails []RailStat
+	// Rails holds per-rail traffic statistics (the run registry's rail
+	// counters, typed; Counters passes the slice through).
+	Rails []RailCounter
 	// Metrics holds the run's counter registries (always populated): per-rank
 	// progress/collective statistics plus run-level rail traffic.
 	Metrics *trace.Metrics
@@ -264,9 +258,7 @@ func (rep *Report) Counters() *CounterSnapshot {
 			Steals: m.Total(trace.CtrWorkerSteals(i)),
 		})
 	}
-	for _, r := range rep.Rails {
-		cs.Rails = append(cs.Rails, RailCounter{Name: r.Name, Packets: r.Packets, Bytes: r.Bytes})
-	}
+	cs.Rails = rep.Rails
 	return cs
 }
 
@@ -421,7 +413,7 @@ func Run(cfg Config, main func(*Comm)) (*Report, error) {
 
 	rep := &Report{Seconds: e.Now().Seconds(), Events: e.Events(), Metrics: met}
 	for _, rail := range net.Rails() {
-		rep.Rails = append(rep.Rails, RailStat{
+		rep.Rails = append(rep.Rails, RailCounter{
 			Name: rail.Params.Name, Packets: rail.Packets, Bytes: rail.BytesSent,
 		})
 		met.Run.Counter(trace.RailPacketsCtr(rail.Params.Name)).Add(rail.Packets)

@@ -394,6 +394,55 @@ func TestSelfSendRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// ANY_SOURCE receives match self-sends too, whether the message or the
+	// receive comes first, for an eager-sized and a rendezvous-sized
+	// payload; a self exchange by explicit rank costs no virtual time.
+	for _, s := range []cluster.Stack{
+		cluster.MPICH2NmadIB(),
+		cluster.MPICH2NmadIB().WithPIOMan(true),
+		cluster.MVAPICH2(),
+		cluster.OpenMPIIB(),
+		cluster.MPICH2NemesisGeneric(),
+	} {
+		t.Run(s.Name, func(t *testing.T) {
+			_, err := Run(xeonCfg(2, s), func(c *Comm) {
+				me := c.Rank()
+				for _, n := range []int{16, 100 << 10} {
+					msg := make([]byte, n)
+					for i := range msg {
+						msg[i] = byte(i*3 + me + 1)
+					}
+					check := func(what string, st Status, got []byte) {
+						if st.Source != me || st.Len != n || !bytes.Equal(got[:st.Len], msg) {
+							t.Errorf("rank %d %dB %s: status %+v, payload match %v",
+								me, n, what, st, bytes.Equal(got[:st.Len], msg))
+						}
+					}
+					buf := make([]byte, n)
+					sq := c.Isend(me, 7, msg)
+					check("unexpected-first", c.Recv(AnySource, 7, buf), buf)
+					c.Wait(sq)
+
+					buf = make([]byte, n)
+					rq := c.Irecv(AnySource, AnyTag, buf)
+					c.Send(me, 8, msg)
+					check("posted-first", c.Wait(rq), buf)
+
+					buf = make([]byte, n)
+					t0 := c.Wtime()
+					c.Send(me, 9, msg)
+					check("explicit", c.Recv(me, 9, buf), buf)
+					if dt := c.Wtime() - t0; dt != 0 {
+						t.Errorf("rank %d %dB: self exchange took %gs of virtual time", me, n, dt)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestSendBufferReusableAfterSend: once a blocking Send returns, the

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/cluster"
@@ -247,7 +249,65 @@ func TestTraceSummary(t *testing.T) {
 			t.Fatalf("rank %d: compute ran alongside an in-flight collective but overlap is 0", o.Rank)
 		}
 	}
-	if s.SchedHits == 0 || s.BgPolls == 0 {
-		t.Fatalf("summary counters empty: hits=%d bgpolls=%d", s.SchedHits, s.BgPolls)
+	if summaryCounter(s, trace.CtrSchedHits) == 0 || summaryCounter(s, trace.CtrBgPolls) == 0 {
+		t.Fatalf("summary counters empty: %v", s.Counters)
+	}
+}
+
+// summaryCounter looks one name up in the summary's counter list.
+func summaryCounter(s *trace.Summary, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return -1
+}
+
+// TestTraceSummaryText: the summary's text rendering lists the round
+// timings, the per-rank overlap rows and every counter, and its counter
+// list agrees with the report's typed snapshot — both views read the one
+// run registry.
+func TestTraceSummaryText(t *testing.T) {
+	tr, rep := runTraced(t, 2)
+	s := trace.Summarize(tr)
+	var buf bytes.Buffer
+	s.WriteText(&buf)
+	text := buf.String()
+	if len(s.RoundTimings) == 0 || len(s.Overlap) == 0 || len(s.Counters) == 0 {
+		t.Fatalf("summary sections empty: %d rounds, %d overlap, %d counters",
+			len(s.RoundTimings), len(s.Overlap), len(s.Counters))
+	}
+	for _, rt := range s.RoundTimings {
+		if !strings.Contains(text, rt.Name) {
+			t.Errorf("text lacks round timing %q", rt.Name)
+		}
+	}
+	for _, o := range s.Overlap {
+		if !strings.Contains(text, fmt.Sprintf("rank %-3d compute", o.Rank)) {
+			t.Errorf("text lacks the overlap row of rank %d", o.Rank)
+		}
+	}
+	for _, c := range s.Counters {
+		if !strings.Contains(text, fmt.Sprintf("%-32s %d\n", c.Name, c.Value)) {
+			t.Errorf("text lacks counter %s = %d", c.Name, c.Value)
+		}
+	}
+	cs := rep.Counters()
+	for _, want := range []struct {
+		name string
+		v    int64
+	}{
+		{trace.CtrSchedCompiles, cs.SchedCompiles},
+		{trace.CtrSchedHits, cs.SchedHits},
+		{trace.CtrBgPolls, cs.BgPolls},
+		{trace.CtrNbcStarted, cs.NbcStarted},
+	} {
+		if want.v == 0 {
+			t.Errorf("snapshot %s is 0; the workload should exercise it", want.name)
+		}
+		if got := summaryCounter(s, want.name); got != want.v {
+			t.Errorf("summary %s = %d, snapshot says %d", want.name, got, want.v)
+		}
 	}
 }
