@@ -125,7 +125,8 @@ type Core struct {
 	sendRdv    map[uint64]*Request
 	recvRdv    map[uint64]*rdvRecv
 
-	kicked []*Gate
+	kicked       []*Gate
+	runStratTask func() // runStrategies as a task func, built once
 
 	// owed accumulates costs incurred outside Poll (e.g. matching a posted
 	// receive against the unexpected store); the next Poll charges them.
@@ -151,6 +152,7 @@ func New(e *vtime.Engine, rank, node int, opt Options) *Core {
 		recvRdv: make(map[uint64]*rdvRecv),
 	}
 	c.strat = newStrategy(c.opt.Strategy)
+	c.runStratTask = c.runStrategies
 	return c
 }
 
@@ -429,7 +431,7 @@ func (c *Core) kick(g *Gate) {
 		}
 	}
 	c.kicked = append(c.kicked, g)
-	c.opt.PostTask(0, func() { c.runStrategies() })
+	c.opt.PostTask(0, c.runStratTask)
 }
 
 // kickFromEngine re-arms scheduling from an engine-context event (rail
@@ -451,8 +453,12 @@ func (c *Core) kickFromEngine(g *Gate) {
 // runStrategies drains the kicked set. Runs in progress context.
 func (c *Core) runStrategies() {
 	for len(c.kicked) > 0 {
+		// Pop by copy-down (reslicing would shed capacity), before Schedule
+		// so that g can be kicked again while its own Schedule runs.
 		g := c.kicked[0]
-		c.kicked = c.kicked[1:]
+		n := copy(c.kicked, c.kicked[1:])
+		c.kicked[n] = nil
+		c.kicked = c.kicked[:n]
 		c.strat.Schedule(c, g)
 	}
 }

@@ -20,8 +20,9 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcContextSwitch measures the goroutine-handoff cost of one
-// simulated process sleep (the dominant cost of message-heavy simulations).
+// BenchmarkProcContextSwitch measures one simulated process sleep with
+// nothing else due, so the sleeper resumes itself without a goroutine
+// switch (BenchmarkProcHandoff measures the switching case).
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("bench", func(p *Proc) {
@@ -29,6 +30,25 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			p.Sleep(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcHandoff measures a proc-to-proc handoff: two procs alternate
+// Sleep(1), so every wakeup resumes the other proc's goroutine.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

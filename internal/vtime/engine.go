@@ -7,12 +7,20 @@
 // ordering ties are broken by a monotonically increasing sequence number,
 // every run of a simulation is bit-for-bit deterministic.
 //
+// Events sit by value in a binary min-heap on (time, seq), so scheduling one
+// allocates nothing. There is no engine goroutine: the goroutine that gives
+// up control — RunUntil's caller, a proc that sleeps or blocks, a proc that
+// returns — runs the due callback events (timers, NIC completions) inline,
+// with Current() nil, and then resumes the next runnable proc directly over
+// that proc's channel. A proc whose own wakeup is next simply carries on
+// without a goroutine switch. When the queue drains, the deadline passes or
+// Stop is called, control returns to RunUntil's caller.
+//
 // Time is measured in integer nanoseconds (Time). Sub-nanosecond costs are
 // accumulated by callers before being charged.
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -62,43 +70,83 @@ type event struct {
 	proc *Proc // non-nil for a proc wakeup event
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+func (a *event) before(b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is a binary min-heap on (t, seq), holding events by value so
+// that scheduling one allocates nothing once the backing array has grown.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+	*h = s
+}
+
+// pop removes and returns the earliest event. The vacated slot is zeroed
+// so that its fn closure can be collected.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && s[r].before(&s[c]) {
+				c = r
+			}
+			if !s[c].before(&last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // Engine is a discrete-event simulation driver. The zero value is not usable;
 // construct with NewEngine.
+//
+// The engine has no goroutine of its own. Whichever goroutine gives up
+// control calls dispatch, which runs due callback events inline on that
+// goroutine and picks the next proc to resume; control passes straight to
+// that proc, or stays put if it is the caller. When the run ends it passes
+// back to RunUntil's caller.
 type Engine struct {
-	now     Time
-	events  eventHeap
-	seq     int64
-	yield   chan struct{}
-	cur     *Proc
-	live    int              // procs spawned and not yet finished
-	blocked map[*Proc]string // procs waiting on a Cond, with a reason
-	stopped bool
+	now      Time
+	events   eventHeap
+	seq      int64
+	deadline Time          // set by RunUntil; no event after it runs
+	idle     chan struct{} // RunUntil's caller waits here for the run to end
+	cur      *Proc
+	blocked  map[*Proc]string // procs waiting on a Cond, with a reason
+	stopped  bool
 }
 
 // NewEngine returns a fresh engine at virtual time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		yield:   make(chan struct{}),
+		idle:    make(chan struct{}),
 		blocked: make(map[*Proc]string),
 	}
 }
@@ -118,14 +166,15 @@ func (e *Engine) Events() int64 { return e.seq }
 // proc scheduled. Observability layers use it to attribute work to threads.
 func (e *Engine) Current() *Proc { return e.cur }
 
-// At schedules fn to run in engine context at virtual time t. Scheduling in
-// the past is an error and panics: simulations must never rewind the clock.
+// At schedules fn to run in engine context — as a callback event, with no
+// current proc — at virtual time t. Scheduling in the past is an error and
+// panics: simulations must never rewind the clock.
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("vtime: scheduling event at %d before now %d", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
@@ -140,15 +189,13 @@ func (e *Engine) After(d Duration, fn func()) {
 // start at the current virtual time. The name is used in deadlock reports.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{e: e, name: name, resume: make(chan struct{})}
-	e.live++
 	e.seq++
-	heap.Push(&e.events, &event{t: e.now, seq: e.seq, proc: p})
+	e.events.push(event{t: e.now, seq: e.seq, proc: p})
 	go func() {
-		<-p.resume // wait for the engine to run us the first time
+		<-p.resume // wait to be run the first time
 		fn(p)
 		p.done = true
-		e.live--
-		e.yield <- struct{}{} // return control to the engine forever
+		e.handoff(e.dispatch()) // pass control on; this goroutine ends
 	}()
 	return p
 }
@@ -159,16 +206,45 @@ func (e *Engine) wake(p *Proc, t Time) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{t: t, seq: e.seq, proc: p})
+	e.events.push(event{t: t, seq: e.seq, proc: p})
 }
 
-// run transfers control to proc p and waits until it yields back.
-func (e *Engine) runProc(p *Proc) {
-	prev := e.cur
-	e.cur = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.cur = prev
+// dispatch pops due events in (t, seq) order, running callback events
+// inline with no current proc, and returns the next proc to resume — already
+// made current. It returns nil when the run ends: the queue drained, the
+// next event lies past the deadline, or Stop was called.
+func (e *Engine) dispatch() *Proc {
+	e.cur = nil
+	for len(e.events) > 0 && !e.stopped {
+		if e.events[0].t > e.deadline {
+			e.now = e.deadline
+			return nil
+		}
+		ev := e.events.pop()
+		e.now = ev.t
+		if ev.proc == nil {
+			ev.fn()
+			continue
+		}
+		if ev.proc.done {
+			continue // stale wakeup for a finished proc
+		}
+		delete(e.blocked, ev.proc)
+		e.cur = ev.proc
+		return ev.proc
+	}
+	return nil
+}
+
+// handoff resumes next, or, when next is nil, returns control to RunUntil's
+// caller. The calling goroutine must touch no simulation state afterwards
+// until it is itself resumed.
+func (e *Engine) handoff(next *Proc) {
+	if next == nil {
+		e.idle <- struct{}{}
+		return
+	}
+	next.resume <- struct{}{}
 }
 
 // DeadlockError reports that the event queue drained while simulated
@@ -192,23 +268,15 @@ func (e *Engine) Run() error {
 
 // RunUntil drives the simulation until the event queue is empty or the next
 // event would occur after the deadline. Events exactly at the deadline run.
+// Procs left sleeping past the deadline resume on the next RunUntil or Run.
 func (e *Engine) RunUntil(deadline Time) error {
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].t > deadline {
-			e.now = deadline
-			return nil
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.now = ev.t
-		if ev.proc != nil {
-			if ev.proc.done {
-				continue // stale wakeup for a finished proc
-			}
-			delete(e.blocked, ev.proc)
-			e.runProc(ev.proc)
-		} else {
-			ev.fn()
-		}
+	e.deadline = deadline
+	if next := e.dispatch(); next != nil {
+		next.resume <- struct{}{}
+		<-e.idle
+	}
+	if len(e.events) > 0 && !e.stopped {
+		return nil // stopped at the deadline
 	}
 	if len(e.blocked) > 0 {
 		names := make([]string, 0, len(e.blocked))
@@ -221,13 +289,16 @@ func (e *Engine) RunUntil(deadline Time) error {
 	return nil
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// are discarded; blocked procs are abandoned (their goroutines are leaked
+// Stop makes Run return once the current callback event, or the current
+// proc's step up to its next yield, completes. Pending events are
+// discarded; blocked procs are abandoned (their goroutines are leaked
 // until process exit, which is acceptable for short-lived simulations).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Proc is a simulated process. All methods must be called from within the
 // process's own goroutine (i.e. from the fn passed to Spawn), except Name.
+// A proc runs until it sleeps, blocks or returns; then its goroutine
+// dispatches the next proc and hands control to it (see Engine).
 type Proc struct {
 	e      *Engine
 	name   string
@@ -249,10 +320,17 @@ func (p *Proc) Label() int { return p.label }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
-// yield returns control to the engine without scheduling a wakeup. The
-// caller must have arranged for a wakeup (timer or Cond) beforehand.
+// yield gives up control without scheduling a wakeup; the caller must have
+// arranged one (timer or Cond) beforehand. It dispatches the next runnable
+// proc itself: when that is p (nothing else due first) it simply returns,
+// otherwise it hands control on and waits to be resumed.
 func (p *Proc) yield() {
-	p.e.yield <- struct{}{}
+	e := p.e
+	next := e.dispatch()
+	if next == p {
+		return
+	}
+	e.handoff(next)
 	<-p.resume
 }
 
@@ -352,7 +430,11 @@ func (c *Cond) Signal() {
 		return
 	}
 	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	// Shift down in place: reslicing would shed capacity, so the next Wait
+	// would reallocate.
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = condWaiter{}
+	c.waiters = c.waiters[:n]
 	c.e.wake(w.p, c.e.now.Add(c.delay))
 }
 

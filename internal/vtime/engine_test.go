@@ -1,10 +1,12 @@
 package vtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -401,5 +403,256 @@ func TestZeroSleepYields(t *testing.T) {
 		if trace[i] != want[i] {
 			t.Fatalf("trace %v, want %v", trace, want)
 		}
+	}
+}
+
+// procName names p for failure messages; nil is the no-proc (callback) case.
+func procName(p *Proc) string {
+	if p == nil {
+		return "<nil>"
+	}
+	return p.Name()
+}
+
+// TestCurrentAcrossHandoffs pins Current() on each kind of control
+// transfer: it is nil inside callback events and the running proc inside
+// proc code, whether that proc was resumed by RunUntil's caller, by another
+// proc, by itself, by a callback run inline on a yielding proc's goroutine,
+// or by a proc that returned.
+func TestCurrentAcrossHandoffs(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e, "signalled by callback")
+	var log []string
+	at := func(where string, p *Proc) {
+		if got := e.Current(); got != p {
+			t.Errorf("%s: Current() = %s, want %s", where, procName(got), procName(p))
+		}
+		log = append(log, fmt.Sprintf("%s@%d", where, e.Now()))
+	}
+	e.Spawn("a", func(p *Proc) {
+		at("a:run→proc", p)
+		p.Sleep(10) // b's start is due first: proc→proc
+		at("a:proc→proc", p)
+		p.Sleep(20) // the callback at 20 runs inline, then b resumes
+		at("a:finish→proc", p)
+	})
+	e.Spawn("b", func(p *Proc) {
+		at("b:proc→proc", p)
+		p.Sleep(5) // nothing else due before 5: proc→self
+		at("b:proc→self", p)
+		c.Wait(p)
+		at("b:callback→proc", p)
+		p.Sleep(5) // resumes itself at 25, returns, and hands control to a at 30
+	})
+	e.At(20, func() {
+		at("callback", nil)
+		c.Signal()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Current() != nil {
+		t.Errorf("Current() after Run = %s, want <nil>", procName(e.Current()))
+	}
+	want := []string{"a:run→proc@0", "b:proc→proc@0", "b:proc→self@5", "a:proc→proc@10",
+		"callback@20", "b:callback→proc@20", "a:finish→proc@30"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Fatalf("handoff sequence %v, want %v", log, want)
+	}
+}
+
+// sleepers spawns three procs that sleep in different strides and log each
+// wakeup; the strides cross any deadline a test picks.
+func sleepers(e *Engine, log *[]string) {
+	for i, name := range []string{"a", "b", "c"} {
+		d := Duration(7 * (i + 1))
+		e.Spawn(name, func(p *Proc) {
+			for k := 0; k < 5; k++ {
+				p.Sleep(d)
+				*log = append(*log, fmt.Sprintf("%s@%d", p.Name(), p.Now()))
+			}
+		})
+	}
+}
+
+// TestRunUntilTwiceResumesSleepers: procs asleep across a RunUntil deadline
+// resume on the next call, and the split run wakes every proc at the same
+// times, with the same event count, as one Run.
+func TestRunUntilTwiceResumesSleepers(t *testing.T) {
+	var whole, split []string
+	e1 := NewEngine()
+	sleepers(e1, &whole)
+	if err := e1.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := NewEngine()
+	sleepers(e2, &split)
+	if err := e2.RunUntil(30); err != nil {
+		t.Fatal(err)
+	}
+	if e2.Now() != 30 {
+		t.Fatalf("now after RunUntil(30) = %d, want 30", e2.Now())
+	}
+	if err := e2.RunUntil(31); err != nil { // nothing due in (30, 31]
+		t.Fatal(err)
+	}
+	if err := e2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(split) != fmt.Sprint(whole) {
+		t.Fatalf("split run wakeups %v, want %v", split, whole)
+	}
+	if e2.Now() != e1.Now() || e2.Events() != e1.Events() {
+		t.Fatalf("split run ends at t=%d after %d events, want t=%d after %d",
+			e2.Now(), e2.Events(), e1.Now(), e1.Events())
+	}
+}
+
+// runWithin runs e on another goroutine and fails the test if Run has not
+// returned control within a generous host-time bound.
+func runWithin(t *testing.T, e *Engine) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- e.Run() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return control to its caller")
+		return nil
+	}
+}
+
+// TestStopFromProc: a proc that calls Stop and then yields hands control
+// back to Run's caller; no later event runs.
+func TestStopFromProc(t *testing.T) {
+	e := NewEngine()
+	otherRan := false
+	e.Spawn("stopper", func(p *Proc) {
+		p.Sleep(10)
+		e.Stop()
+		p.Sleep(1) // never resumes: the run ends here
+		t.Error("stopper resumed after Stop")
+	})
+	e.Spawn("other", func(p *Proc) {
+		p.Sleep(100)
+		otherRan = true
+	})
+	if err := runWithin(t, e); err != nil {
+		t.Fatal(err)
+	}
+	if otherRan || e.Now() != 10 {
+		t.Fatalf("after Stop: other ran = %v, now = %d; want false, 10", otherRan, e.Now())
+	}
+}
+
+// TestFinishHandsToBlockedSibling: a proc that wakes a blocked sibling and
+// returns hands control to it from its exiting goroutine; the deadlock
+// report that follows still names every blocked proc with its reason.
+func TestFinishHandsToBlockedSibling(t *testing.T) {
+	e := NewEngine()
+	ready := NewCond(e, "ready")
+	never := NewCond(e, "never signalled")
+	var resumed Time = -1
+	e.Spawn("waiter", func(p *Proc) {
+		ready.Wait(p)
+		resumed = p.Now()
+		never.Wait(p)
+	})
+	e.Spawn("stuck", func(p *Proc) { never.Wait(p) })
+	e.Spawn("finisher", func(p *Proc) {
+		p.Sleep(5)
+		ready.Signal()
+	})
+	err := runWithin(t, e)
+	if resumed != 5 {
+		t.Fatalf("waiter resumed at %d, want 5", resumed)
+	}
+	de, ok := err.(*DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	want := []string{"stuck: never signalled", "waiter: never signalled"}
+	if de.Now != 5 || fmt.Sprint(de.Blocked) != fmt.Sprint(want) {
+		t.Fatalf("deadlock at t=%d blocked %v, want t=5 blocked %v", de.Now, de.Blocked, want)
+	}
+}
+
+// TestDispatchAllocatesNothing: once the event heap has grown, scheduling
+// and dispatching callback events (At, After) and proc sleeps — both the
+// self-resume and the proc-to-proc handoff — allocate nothing.
+func TestDispatchAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	quit := false
+	for _, name := range []string{"a", "b"} {
+		e.Spawn(name, func(p *Proc) {
+			for !quit {
+				p.Sleep(1)
+				p.Sleep(2) // the sibling sleeps too, so some wakeups switch
+			}
+		})
+	}
+	schedule := func() {
+		for i := 0; i < 16; i++ {
+			e.After(Duration(i), fn)
+			e.At(e.Now()+3, fn)
+		}
+	}
+	schedule()
+	if err := e.RunUntil(e.Now() + 100); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		schedule()
+		if err := e.RunUntil(e.Now() + 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	quit = true
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state dispatch allocates %.2f objects per run, want 0", allocs)
+	}
+}
+
+// TestSemaCycleAllocatesNothing pins Cond.Signal's in-place pop: a
+// steady-state Sema release/acquire cycle between two procs, the Marcel
+// semaphore path PIOMan workers block on, allocates nothing.
+func TestSemaCycleAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	ping, pong := NewSema(e, "ping", 0), NewSema(e, "pong", 0)
+	quit := false
+	e.Spawn("a", func(p *Proc) {
+		for !quit {
+			ping.Release()
+			pong.Acquire(p)
+			p.Sleep(1)
+		}
+		ping.Release()
+	})
+	e.Spawn("b", func(p *Proc) {
+		for !quit {
+			ping.Acquire(p)
+			pong.Release()
+		}
+	})
+	if err := e.RunUntil(e.Now() + 100); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.RunUntil(e.Now() + 50); err != nil {
+			t.Fatal(err)
+		}
+	})
+	quit = true
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state Sema cycle allocates %.2f objects per 50 cycles, want 0", allocs)
 	}
 }
