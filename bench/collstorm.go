@@ -17,13 +17,12 @@ import (
 // collective — collstorm measures the *host* cost of sustaining thousands of
 // concurrent operations: matching-queue pressure (the bucketed posted and
 // unexpected queues), free-list effectiveness (pooled requests, shm jobs and
-// nbc ops) and schedule-cache rebinding, reported as ops/sec, ns/op and
+// nbc ops) and schedule-cache hits, reported as ops/sec, ns/op and
 // allocs/op of wall-clock simulator time.
 //
 // Each window slot uses a distinct vector length, so slots map to distinct
-// schedule-cache keys: concurrent same-communicator ops never collide on an
-// in-use cache entry (which would force throwaway compiles), and batch ≥ 2
-// runs entirely on cache hits — the steady state the pools target.
+// schedule-cache keys and every slot compiles in batch 0; batch ≥ 2 runs
+// entirely on cache hits — the steady state the pools target.
 
 // CollStormOptions tunes one stress measurement.
 type CollStormOptions struct {
@@ -83,7 +82,7 @@ type CollStormResult struct {
 	// OpsPerSec is the sustained host-side operation rate.
 	OpsPerSec float64 `json:"ops_per_sec"`
 	// AllocsPerOp is heap allocations per operation over the whole run
-	// (includes first-batch schedule compiles; later batches rebind).
+	// (includes first-batch schedule compiles; later batches hit the cache).
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// CachedAllocsPerOp is heap allocations per operation over batches
 	// 1..N-1 only — the steady state where every schedule start is a cache

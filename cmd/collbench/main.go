@@ -265,7 +265,7 @@ func main() {
 			r.Op, algoLbl, skew, bench.SizeLabel(float64(r.Bytes)), cacheLbl,
 			r.PerOpUS, r.HostMS, r.Compiles, r.Hits, marker)
 	}
-	fmt.Println("\ncache=on rows compile once and rebind; cache=off rows recompile per call;")
+	fmt.Println("\ncache=on rows compile a plan once and bind it per call; cache=off rows recompile;")
 	fmt.Println("virtual per-op time is identical either way (determinism guarantee) — the")
 	fmt.Println("cache buys host time and allocation churn, the selector buys virtual time.")
 }

@@ -5,7 +5,7 @@
 // collstorm measures what sustaining thousands of concurrent operations
 // costs the *simulator host* — ops/sec, ns/op and allocs/op — exercising
 // the bucketed matching queues, the request/op/job free lists and the
-// schedule cache's rebind path at depth. The headline check: per-op host
+// schedule cache's hit path at depth. The headline check: per-op host
 // time stays flat (within 2×) as the window grows from the smallest to the
 // largest swept depth, i.e. matching and pooling are O(1) per op, not
 // O(in-flight). -json emits machine-readable rows for the perf trajectory

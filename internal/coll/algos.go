@@ -7,19 +7,19 @@ package coll
 // allgather and alltoall that aggregate per node so only the per-node leaders
 // touch the network rails.
 
-// BuildBcastScatterAllgather compiles the van de Geijn large-message
+// buildBcastScatterAllgather compiles the van de Geijn large-message
 // broadcast: root scatters data in size chunks down a binomial tree, then a
 // ring allgather (over relative ranks) reassembles the full buffer on every
 // rank. Bandwidth-optimal for large payloads, at the price of ~2(p-1)/p
 // extra latency terms.
-func BuildBcastScatterAllgather(rank, size, root int, data []byte) *Schedule {
+func buildBcastScatterAllgather(rank, size, root int, data Ref) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	n, p := len(data), size
+	n, p := data.Len(), size
 	real := func(v int) int { return (v + root) % p }
-	chunk := func(i, j int) []byte { return data[i*n/p : j*n/p] }
+	chunk := func(i, j int) Ref { return data.Sub(i*n/p, j*n/p) }
 	vr := (rank - root + p) % p
 
 	// Scatter phase: rank vr receives its subtree's chunks [vr, vr+cnt)
@@ -89,27 +89,27 @@ func rabBoundaries(size, n int) []int {
 	return win
 }
 
-// BuildAllreduceRabenseifner compiles the large-vector allreduce:
+// buildAllreduceRabenseifner compiles the large-vector allreduce:
 // reduce-scatter by recursive halving (the shared first-class builder in
 // vector.go), then allgather by recursive doubling, moving ~2n elements per
 // rank instead of recursive doubling's n·log p. Power-of-two sizes only;
 // anything else falls back to recursive doubling. Commutative op only.
-func BuildAllreduceRabenseifner(rank, size int, x []float64, op Op) *Schedule {
+func buildAllreduceRabenseifner(rank, size int, x Ref) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
 	if size&(size-1) != 0 {
-		rdAllreduce(s, identGroup(size), rank, x, op)
+		rdAllreduce(s, identGroup(size), rank, x)
 		return s
 	}
-	n := len(x)
+	n := x.Len()
 	win := rabBoundaries(size, n)
-	rbuf := make([]byte, 8*((n+1)/2))
+	rbuf := s.reserve(8 * ((n + 1) / 2))
 
 	// Phase 1: reduce-scatter by recursive halving over the rabWindow
 	// boundaries — the same builder the first-class ReduceScatter op uses.
-	halvingReduceScatter(s, rank, size, x, win, rbuf, op)
+	halvingReduceScatter(s, rank, size, x, win, rbuf)
 
 	// Phase 2: allgather by recursive doubling. At step mask each rank holds
 	// the union of the final windows of its aligned block of mask ranks and
@@ -120,26 +120,26 @@ func BuildAllreduceRabenseifner(rank, size int, x []float64, op Op) *Schedule {
 		pLo, pHi := win[partner&^(mask-1)], win[(partner|(mask-1))+1]
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
-			sendF64(partner, x[myLo:myHi]),
-			recvP(partner, rbuf[:8*(pHi-pLo)]))
-		rd.Local = append(rd.Local, decodeP(x[pLo:pHi], rbuf))
+			sendF64(partner, x.Sub(myLo, myHi)),
+			recvP(partner, rbuf.Sub(0, 8*(pHi-pLo))))
+		rd.Local = append(rd.Local, decodeP(x.Sub(pLo, pHi), rbuf))
 	}
 	return s
 }
 
-// BuildAllgatherBruck compiles the Bruck allgather: ceil(log2 p) rounds of
+// buildAllgatherBruck compiles the Bruck allgather: ceil(log2 p) rounds of
 // doubling block counts, concatenated into per-round wire buffers so the
 // message count stays logarithmic — the small-payload winner against the
 // ring's p-1 messages. Position j of the Bruck order is rank (me+j) mod p,
 // so blocks land directly in their out slots with no final rotation.
-func BuildAllgatherBruck(rank, size int, mine []byte, out [][]byte) *Schedule {
+func buildAllgatherBruck(rank, size int, mine Ref, out []Ref) *Schedule {
 	s := &Schedule{}
 	rd := s.round()
 	rd.Local = append(rd.Local, copyP(out[rank], mine))
 	if size == 1 {
 		return s
 	}
-	blockAt := func(j int) []byte { return out[(rank+j)%size] }
+	blockAt := func(j int) Ref { return out[(rank+j)%size] }
 	prev := rd
 	for k := 1; k < size; k <<= 1 {
 		cnt := k
@@ -148,20 +148,20 @@ func BuildAllgatherBruck(rank, size int, mine []byte, out [][]byte) *Schedule {
 		}
 		slen, rlen := 0, 0
 		for j := 0; j < cnt; j++ {
-			slen += len(blockAt(j))
-			rlen += len(blockAt(k + j))
+			slen += blockAt(j).Len()
+			rlen += blockAt(k + j).Len()
 		}
 		// The send buffer concatenates positions [0, cnt) once the previous
 		// round's blocks have landed (prev is still addressable: no round
 		// has been appended since it was created).
-		sbuf := make([]byte, slen)
+		sbuf := s.reserve(slen)
 		off := 0
 		for j := 0; j < cnt; j++ {
 			b := blockAt(j)
-			prev.Local = append(prev.Local, copyP(sbuf[off:off+len(b)], b))
-			off += len(b)
+			prev.Local = append(prev.Local, copyP(sbuf.Sub(off, off+b.Len()), b))
+			off += b.Len()
 		}
-		rbuf := make([]byte, rlen)
+		rbuf := s.reserve(rlen)
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
 			sendP((rank-k+size)%size, sbuf),
@@ -169,17 +169,17 @@ func BuildAllgatherBruck(rank, size int, mine []byte, out [][]byte) *Schedule {
 		off = 0
 		for j := 0; j < cnt; j++ {
 			b := blockAt(k + j)
-			rd.Local = append(rd.Local, copyP(b, rbuf[off:off+len(b)]))
-			off += len(b)
+			rd.Local = append(rd.Local, copyP(b, rbuf.Sub(off, off+b.Len())))
+			off += b.Len()
 		}
 		prev = rd
 	}
 	return s
 }
 
-// BuildScatter compiles the linear scatter: root sends blocks[r] to rank r
+// buildScatter compiles the linear scatter: root sends blocks[r] to rank r
 // (blocks is only read on root); every rank lands its block in buf.
-func BuildScatter(rank, size, root int, blocks [][]byte, buf []byte) *Schedule {
+func buildScatter(rank, size, root int, blocks []Ref, buf Ref) *Schedule {
 	s := &Schedule{}
 	if rank == root {
 		rd := s.round()
@@ -196,12 +196,12 @@ func BuildScatter(rank, size, root int, blocks [][]byte, buf []byte) *Schedule {
 	return s
 }
 
-// BuildAllgatherTwoLevel compiles the hierarchical allgather: locals hand
+// buildAllgatherTwoLevel compiles the hierarchical allgather: locals hand
 // their block to the node leader over shared memory, leaders exchange
 // per-node aggregates pairwise over the network (one message per leader
 // pair instead of one per block), then each leader fans every aggregate
 // back out to its locals.
-func BuildAllgatherTwoLevel(rank int, nodes []int, mine []byte, out [][]byte) *Schedule {
+func buildAllgatherTwoLevel(rank int, nodes []int, mine Ref, out []Ref) *Schedule {
 	s := &Schedule{}
 	size := len(nodes)
 	rd := s.round()
@@ -219,7 +219,7 @@ func BuildAllgatherTwoLevel(rank int, nodes []int, mine []byte, out [][]byte) *S
 	for j, l := range leaders {
 		nodeRanks[j] = byNode[nodes[l]]
 		for _, r := range nodeRanks[j] {
-			nodeLen[j] += len(out[r])
+			nodeLen[j] += out[r].Len()
 		}
 	}
 	li := indexIn(leaders, lead)
@@ -230,13 +230,13 @@ func BuildAllgatherTwoLevel(rank int, nodes []int, mine []byte, out [][]byte) *S
 		rd := s.round()
 		rd.Comm = append(rd.Comm, sendP(lead, mine))
 		for j := 0; j < L; j++ {
-			rbuf := make([]byte, nodeLen[j])
+			rbuf := s.reserve(nodeLen[j])
 			rd := s.round()
 			rd.Comm = append(rd.Comm, recvP(lead, rbuf))
 			off := 0
 			for _, r := range nodeRanks[j] {
-				rd.Local = append(rd.Local, copyP(out[r], rbuf[off:off+len(out[r])]))
-				off += len(out[r])
+				rd.Local = append(rd.Local, copyP(out[r], rbuf.Sub(off, off+out[r].Len())))
+				off += out[r].Len()
 			}
 		}
 		return s
@@ -251,29 +251,29 @@ func BuildAllgatherTwoLevel(rank int, nodes []int, mine []byte, out [][]byte) *S
 			}
 		}
 	}
-	wbuf := make([]byte, nodeLen[li])
+	wbuf := s.reserve(nodeLen[li])
 	{
 		rd := s.round()
 		off := 0
 		for _, r := range local {
-			rd.Local = append(rd.Local, copyP(wbuf[off:off+len(out[r])], out[r]))
-			off += len(out[r])
+			rd.Local = append(rd.Local, copyP(wbuf.Sub(off, off+out[r].Len()), out[r]))
+			off += out[r].Len()
 		}
 	}
 
 	// Rotated pairwise exchange of aggregates among leaders: step t sends to
 	// the t-th leader to the right and receives from the t-th to the left.
-	aggs := make([][]byte, L)
+	aggs := make([]Ref, L)
 	aggs[li] = wbuf
 	for t := 1; t < L; t++ {
 		dj, sj := (li+t)%L, (li-t+L)%L
-		aggs[sj] = make([]byte, nodeLen[sj])
+		aggs[sj] = s.reserve(nodeLen[sj])
 		rd := s.round()
 		rd.Comm = append(rd.Comm, sendP(leaders[dj], wbuf), recvP(leaders[sj], aggs[sj]))
 		off := 0
 		for _, r := range nodeRanks[sj] {
-			rd.Local = append(rd.Local, copyP(out[r], aggs[sj][off:off+len(out[r])]))
-			off += len(out[r])
+			rd.Local = append(rd.Local, copyP(out[r], aggs[sj].Sub(off, off+out[r].Len())))
+			off += out[r].Len()
 		}
 	}
 
@@ -292,14 +292,14 @@ func BuildAllgatherTwoLevel(rank int, nodes []int, mine []byte, out [][]byte) *S
 	return s
 }
 
-// BuildAlltoallTwoLevel compiles the hierarchical alltoall for uniform block
+// buildAlltoallTwoLevel compiles the hierarchical alltoall for uniform block
 // sizes: same-node blocks move by direct pairwise exchange over shared
 // memory; off-node blocks are uploaded to the node leader, exchanged between
 // leaders as one aggregate message per leader pair (source-major ×
 // destination layout), and fanned back out to the destination locals. Only
 // leaders touch the rails, with L·(L-1) messages instead of the pairwise
 // exchange's per-rank-pair traffic.
-func BuildAlltoallTwoLevel(rank int, nodes []int, send, recv [][]byte) *Schedule {
+func buildAlltoallTwoLevel(rank int, nodes []int, send, recv []Ref) *Schedule {
 	s := &Schedule{}
 	size := len(nodes)
 	rd := s.round()
@@ -307,7 +307,7 @@ func BuildAlltoallTwoLevel(rank int, nodes []int, send, recv [][]byte) *Schedule
 	if size == 1 {
 		return s
 	}
-	b := len(send[0]) // uniform block size (the selector guarantees it)
+	b := send[0].Len() // uniform block size (the selector guarantees it)
 	leaders, byNode := leadersOf(nodes, -1)
 	local := byNode[nodes[rank]]
 	lead := leaderFor(nodes, byNode, -1, rank)
@@ -363,21 +363,21 @@ func BuildAlltoallTwoLevel(rank int, nodes []int, send, recv [][]byte) *Schedule
 	// Leader wire buffers: wbuf[j] carries every local source's blocks for
 	// node j (source-major, destinations ascending within a source); rbuf[j]
 	// arrives with the symmetric layout from node j's leader.
-	wbuf := make([][]byte, L)
-	rbuf := make([][]byte, L)
+	wbuf := make([]Ref, L)
+	rbuf := make([]Ref, L)
 	for j := 0; j < L; j++ {
 		if j != li {
-			wbuf[j] = make([]byte, b*m*len(nodeRanks[j]))
-			rbuf[j] = make([]byte, b*len(nodeRanks[j])*m)
+			wbuf[j] = s.reserve(b * m * len(nodeRanks[j]))
+			rbuf[j] = s.reserve(b * len(nodeRanks[j]) * m)
 		}
 	}
-	slotW := func(j, si, di int) []byte {
+	slotW := func(j, si, di int) Ref {
 		off := (si*len(nodeRanks[j]) + di) * b
-		return wbuf[j][off : off+b]
+		return wbuf[j].Sub(off, off+b)
 	}
-	slotR := func(j, si, di int) []byte {
+	slotR := func(j, si, di int) Ref {
 		off := (si*m + di) * b
-		return rbuf[j][off : off+b]
+		return rbuf[j].Sub(off, off+b)
 	}
 
 	// Gather the locals' uploads into the wire buffers and copy in the

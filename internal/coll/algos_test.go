@@ -22,8 +22,8 @@ func TestBcastScatterAllgatherAllNP(t *testing.T) {
 							}
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
-						return BuildBcastScatterAllgather(rank, n, root, bufs[rank])
+					execSched(t, n, func(rank int) bound {
+						return plan(OpBcast, AlgoScatterAllgather, Args{Rank: rank, Size: n, Root: root, Data: bufs[rank]})
 					}, 20)
 					for r := range bufs {
 						for i := range bufs[r] {
@@ -53,8 +53,8 @@ func TestRabenseifnerAllreduce(t *testing.T) {
 						vecs[r][i] = float64(r*100 + i)
 					}
 				}
-				execSched(t, n, func(rank int) *Schedule {
-					return BuildAllreduceRabenseifner(rank, n, vecs[rank], OpSum)
+				execSched(t, n, func(rank int) bound {
+					return plan(OpAllreduce, AlgoRabenseifner, Args{Rank: rank, Size: n, X: vecs[rank], Op: OpSum})
 				}, 21)
 				for i := 0; i < m; i++ {
 					want := 0.0
@@ -91,8 +91,8 @@ func TestBruckAllgatherAllNP(t *testing.T) {
 					outs[r][q] = make([]byte, q%3+1)
 				}
 			}
-			execSched(t, n, func(rank int) *Schedule {
-				return BuildAllgatherBruck(rank, n, blockOf(rank), outs[rank])
+			execSched(t, n, func(rank int) bound {
+				return plan(OpAllgather, AlgoBruck, Args{Rank: rank, Size: n, Mine: blockOf(rank), Out: outs[rank]})
 			}, 22)
 			for r := 0; r < n; r++ {
 				for q := 0; q < n; q++ {
@@ -118,12 +118,12 @@ func TestScatterScheduleAllNP(t *testing.T) {
 				for r := range got {
 					got[r] = make([]byte, len(blocks[r]))
 				}
-				execSched(t, n, func(rank int) *Schedule {
+				execSched(t, n, func(rank int) bound {
 					var bs [][]byte
 					if rank == root {
 						bs = blocks
 					}
-					return BuildScatter(rank, n, root, bs, got[rank])
+					return plan(OpScatter, AlgoLinear, Args{Rank: rank, Size: n, Root: root, Send: bs, Mine: got[rank]})
 				}, 23)
 				for r := range got {
 					if !bytes.Equal(got[r], blocks[r]) {
@@ -157,8 +157,8 @@ func TestTwoLevelAllgatherFabric(t *testing.T) {
 						outs[r][q] = make([]byte, q%4+1)
 					}
 				}
-				execSched(t, n, func(rank int) *Schedule {
-					return BuildAllgatherTwoLevel(rank, nodes, blockOf(rank), outs[rank])
+				execSched(t, n, func(rank int) bound {
+					return plan(OpAllgather, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Mine: blockOf(rank), Out: outs[rank]})
 				}, 24)
 				for r := 0; r < n; r++ {
 					for q := 0; q < n; q++ {
@@ -195,12 +195,12 @@ func TestTwoLevelAlltoallFabric(t *testing.T) {
 						recvs[r][q] = make([]byte, b)
 					}
 				}
-				execSched(t, n, func(rank int) *Schedule {
+				execSched(t, n, func(rank int) bound {
 					send := make([][]byte, n)
 					for d := 0; d < n; d++ {
 						send[d] = blk(rank, d)
 					}
-					return BuildAlltoallTwoLevel(rank, nodes, send, recvs[rank])
+					return plan(OpAlltoall, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Send: send, Recv: recvs[rank]})
 				}, 25)
 				for r := 0; r < n; r++ {
 					for q := 0; q < n; q++ {
@@ -229,17 +229,17 @@ func TestNewBuilderRoundShapes(t *testing.T) {
 			nodes[r] = r % 2
 		}
 		for rank := 0; rank < n; rank++ {
-			checkRoundShape(t, BuildBcastScatterAllgather(rank, n, 0, data),
+			checkRoundShape(t, plan(OpBcast, AlgoScatterAllgather, Args{Rank: rank, Size: n, Root: 0, Data: data}).s,
 				fmt.Sprintf("bcast-sag/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllreduceRabenseifner(rank, n, x, OpSum),
+			checkRoundShape(t, plan(OpAllreduce, AlgoRabenseifner, Args{Rank: rank, Size: n, X: x, Op: OpSum}).s,
 				fmt.Sprintf("rabenseifner/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllgatherBruck(rank, n, blocks[0], blocks),
+			checkRoundShape(t, plan(OpAllgather, AlgoBruck, Args{Rank: rank, Size: n, Mine: blocks[0], Out: blocks}).s,
 				fmt.Sprintf("bruck/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildScatter(rank, n, 0, blocks, blocks[rank]),
+			checkRoundShape(t, plan(OpScatter, AlgoLinear, Args{Rank: rank, Size: n, Root: 0, Send: blocks, Mine: blocks[rank]}).s,
 				fmt.Sprintf("scatter/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllgatherTwoLevel(rank, nodes, blocks[0], blocks),
+			checkRoundShape(t, plan(OpAllgather, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Mine: blocks[0], Out: blocks}).s,
 				fmt.Sprintf("allgather2l/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAlltoallTwoLevel(rank, nodes, blocks, blocks),
+			checkRoundShape(t, plan(OpAlltoall, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Send: blocks, Recv: blocks}).s,
 				fmt.Sprintf("alltoall2l/np%d/r%d", n, rank))
 		}
 	}
@@ -303,10 +303,10 @@ func TestKeyForFallbacks(t *testing.T) {
 	}
 }
 
-// TestRebind: a schedule compiled against one set of buffers re-executes
-// correctly against another after Rebind, without touching the originals —
-// the persistent-schedule property the mpi cache relies on.
-func TestRebind(t *testing.T) {
+// TestBindingFreshBuffers: a plan compiled for one set of buffers executes
+// correctly bound to another, without touching the originals — the
+// persistent-schedule property the mpi cache relies on.
+func TestBindingFreshBuffers(t *testing.T) {
 	const n = 4
 	// Compile a large-payload bcast (sub-slicing algorithm) per rank.
 	mkArgs := func(bufs [][]byte, rank int) Args {
@@ -326,37 +326,35 @@ func TestRebind(t *testing.T) {
 	fill(bufs1[0], 1)
 	fill(bufs2[0], 2)
 
-	scheds := make([]*Schedule, n)
+	plans := make([]*Schedule, n)
 	for r := 0; r < n; r++ {
-		scheds[r] = Build(Key{Op: OpBcast, Algo: AlgoScatterAllgather, Root: 0},
+		plans[r] = Build(Key{Op: OpBcast, Algo: AlgoScatterAllgather, Root: 0},
 			mkArgs(bufs1, r))
 	}
-	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 30) })
+	runAll(t, n, func(p *peer) { runSched(p, bound{plans[p.rank], mkArgs(bufs1, p.rank)}, 30) })
 	for r := 0; r < n; r++ {
 		if bufs1[r][50] != byte(50)*3+1 {
 			t.Fatalf("first run: rank %d wrong", r)
 		}
 	}
 
-	// Rebind every rank's schedule to the second buffer set and re-execute.
-	for r := 0; r < n; r++ {
-		scheds[r].Rebind(mkArgs(bufs1, r).BufArgs(), mkArgs(bufs2, r).BufArgs())
-	}
-	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 31) })
+	// Execute every rank's plan again, bound to the second buffer set.
+	runAll(t, n, func(p *peer) { runSched(p, bound{plans[p.rank], mkArgs(bufs2, p.rank)}, 31) })
 	for r := 0; r < n; r++ {
 		for i := range bufs2[r] {
 			if bufs2[r][i] != byte(i)*3+2 {
-				t.Fatalf("rebound run: rank %d byte %d = %d", r, i, bufs2[r][i])
+				t.Fatalf("second binding: rank %d byte %d = %d", r, i, bufs2[r][i])
 			}
 			if bufs1[r][i] != byte(i)*3+1 {
-				t.Fatalf("rebound run clobbered original: rank %d byte %d", r, i)
+				t.Fatalf("second binding clobbered the first's buffers: rank %d byte %d", r, i)
 			}
 		}
 	}
 }
 
-// TestRebindAllreduce covers f64 regions and operator rewriting.
-func TestRebindAllreduce(t *testing.T) {
+// TestBindingAllreduceOps covers float64 regions and the operator: one plan
+// executes OpSum through one binding, then OpMax through another.
+func TestBindingAllreduceOps(t *testing.T) {
 	const n, m = 4, 10
 	mk := func() [][]float64 {
 		vs := make([][]float64, n)
@@ -369,23 +367,55 @@ func TestRebindAllreduce(t *testing.T) {
 		return vs
 	}
 	v1, v2 := mk(), mk()
-	scheds := make([]*Schedule, n)
+	plans := make([]*Schedule, n)
 	for r := 0; r < n; r++ {
-		scheds[r] = BuildAllreduceRabenseifner(r, n, v1[r], OpSum)
+		plans[r] = plan(OpAllreduce, AlgoRabenseifner, Args{Rank: r, Size: n, X: v1[r]}).s
 	}
-	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 32) })
-
+	runAll(t, n, func(p *peer) {
+		runSched(p, bound{plans[p.rank], Args{X: v1[p.rank], Op: OpSum}}, 32)
+	})
+	runAll(t, n, func(p *peer) {
+		runSched(p, bound{plans[p.rank], Args{X: v2[p.rank], Op: OpMax}}, 33)
+	})
 	for r := 0; r < n; r++ {
-		old := Args{Rank: r, Size: n, X: v1[r], Op: OpSum}.BufArgs()
-		new := Args{Rank: r, Size: n, X: v2[r], Op: OpMax}.BufArgs()
-		scheds[r].Rebind(old, new)
-	}
-	runAll(t, n, func(p *peer) { runSched(p, scheds[p.Rank()], 33) })
-	for r := 0; r < n; r++ {
-		for i := range v2[r] {
-			if v2[r][i] != float64(n-1+i) { // max over ranks of (r+i)
-				t.Fatalf("rank %d elem %d = %g, want %g", r, i, v2[r][i], float64(n-1+i))
+		for i := 0; i < m; i++ {
+			if want := float64(n*(n-1)/2 + n*i); v1[r][i] != want { // sum over ranks of (r+i)
+				t.Fatalf("sum: rank %d elem %d = %g, want %g", r, i, v1[r][i], want)
+			}
+			if want := float64(n - 1 + i); v2[r][i] != want { // max over ranks of (r+i)
+				t.Fatalf("max: rank %d elem %d = %g, want %g", r, i, v2[r][i], want)
 			}
 		}
+	}
+}
+
+// TestBindingArenas: concurrent bindings of one plan get distinct scratch
+// arenas, released arenas are reused, and binding after warm-up allocates
+// nothing — two executions in flight at once share the plan for free.
+func TestBindingArenas(t *testing.T) {
+	a := Args{Rank: 0, Size: 4, X: make([]float64, 16), Op: OpSum}
+	s := Build(Key{Op: OpAllreduce, Algo: AlgoRecDoubling}, a)
+	if s.scratch == 0 {
+		t.Fatal("recursive doubling reserved no scratch")
+	}
+	var b1, b2 Binding
+	b1.Bind(s, a)
+	b2.Bind(s, a)
+	if &b1.scratch[0] == &b2.scratch[0] {
+		t.Fatal("two bindings in flight share one arena")
+	}
+	b2.Release(s)
+	b1.Release(s)
+	if b1.x != nil || b1.scratch != nil {
+		t.Error("a released binding still references caller memory or its arena")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b1.Bind(s, a)
+		b2.Bind(s, a)
+		b2.Release(s)
+		b1.Release(s)
+	})
+	if allocs != 0 {
+		t.Errorf("binding two executions of a warm plan allocates %.2f objects, want 0", allocs)
 	}
 }

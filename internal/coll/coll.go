@@ -7,9 +7,10 @@
 // bandwidth-optimal large-message counterparts (van de Geijn
 // scatter-allgather broadcast, Rabenseifner allreduce, Bruck allgather) and
 // topology-aware two-level variants. A registry plus size/topology-based
-// selector (registry.go, see README.md for the table) picks per invocation,
-// and Rebind (rebind.go) gives compiled schedules persistent-collective
-// semantics for the mpi layer's per-communicator cache.
+// selector (registry.go, see README.md for the table) picks per invocation.
+// A compiled schedule is an immutable plan over region references; each
+// execution binds its own buffers (Binding), so the mpi layer's
+// per-communicator cache shares one plan among every same-shape op.
 package coll
 
 import (

@@ -52,28 +52,42 @@ func (p *peer) RecvT(src int, tag int32, buf []byte) int {
 	return copy(buf, m)
 }
 
-// runSched executes one rank's schedule over the fabric the way the nbc
-// engine does: every transfer of a round is in flight before the round
-// completes, then its local prims run. The fabric's queues are buffered,
-// so posting every send before every receive never blocks a send and is
-// the engine's whole-round behaviour.
-func runSched(p *peer, s *Schedule, tag int32) {
-	for ri := range s.Rounds {
-		rd := &s.Rounds[ri]
+// bound is a plan with the arguments one execution binds to it.
+type bound struct {
+	s *Schedule
+	a Args
+}
+
+// plan compiles a's plan for (op, algo).
+func plan(op OpKind, algo Algo, a Args) bound {
+	return bound{Build(Key{Op: op, Algo: algo}, a), a}
+}
+
+// runSched executes one rank's plan over the fabric the way the nbc engine
+// does: every transfer of a round is in flight before the round completes,
+// then its local prims run. The fabric's queues are buffered, so posting
+// every send before every receive never blocks a send and is the engine's
+// whole-round behaviour.
+func runSched(p *peer, b bound, tag int32) {
+	var bd Binding
+	bd.Bind(b.s, b.a)
+	for ri := range b.s.Rounds {
+		rd := &b.s.Rounds[ri]
 		for i := range rd.Comm {
 			if pr := &rd.Comm[i]; pr.Kind == PrimSend {
-				p.SendT(pr.Peer, tag, SendPayload(pr))
+				p.SendT(pr.Peer, tag, bd.SendPayload(pr))
 			}
 		}
 		for i := range rd.Comm {
 			if pr := &rd.Comm[i]; pr.Kind == PrimRecv {
-				p.RecvT(pr.Peer, tag, pr.Buf)
+				p.RecvT(pr.Peer, tag, bd.RecvBuf(pr))
 			}
 		}
 		for i := range rd.Local {
-			RunLocal(&rd.Local[i])
+			bd.RunLocal(&rd.Local[i])
 		}
 	}
+	bd.Release(b.s)
 }
 
 // runAll executes fn on n concurrent peers and waits for all.
@@ -105,7 +119,9 @@ var testNPs = []int{1, 2, 3, 4, 5, 7, 8, 12, 16}
 
 func TestBarrierCompletes(t *testing.T) {
 	for _, n := range testNPs {
-		runAll(t, n, func(p *peer) { runSched(p, BuildBarrier(p.Rank(), p.Size()), 0) })
+		runAll(t, n, func(p *peer) {
+			runSched(p, plan(OpBarrier, AlgoDissemination, Args{Rank: p.Rank(), Size: p.Size()}), 0)
+		})
 	}
 }
 
@@ -120,7 +136,7 @@ func TestBcastAllNP(t *testing.T) {
 						data[i] = byte(i + root)
 					}
 				}
-				runSched(p, BuildBcast(p.Rank(), p.Size(), root, data), 1)
+				runSched(p, plan(OpBcast, AlgoBinomial, Args{Rank: p.Rank(), Size: p.Size(), Root: root, Data: data}), 1)
 				for i := range data {
 					if data[i] != byte(i+root) {
 						panic(fmt.Sprintf("np=%d root=%d rank=%d: bad byte %d", n, root, p.Rank(), i))
@@ -136,7 +152,7 @@ func TestAllreduceSumAllNP(t *testing.T) {
 		n := n
 		runAll(t, n, func(p *peer) {
 			x := []float64{float64(p.Rank()), 1, float64(p.Rank() * p.Rank())}
-			runSched(p, BuildAllreduce(p.Rank(), p.Size(), x, OpSum), 2)
+			runSched(p, plan(OpAllreduce, AlgoRecDoubling, Args{Rank: p.Rank(), Size: p.Size(), X: x, Op: OpSum}), 2)
 			wantSq := 0.0
 			for r := 0; r < n; r++ {
 				wantSq += float64(r * r)
@@ -151,12 +167,12 @@ func TestAllreduceSumAllNP(t *testing.T) {
 func TestAllreduceMaxMin(t *testing.T) {
 	runAll(t, 7, func(p *peer) {
 		x := []float64{float64(p.Rank())}
-		runSched(p, BuildAllreduce(p.Rank(), p.Size(), x, OpMax), 2)
+		runSched(p, plan(OpAllreduce, AlgoRecDoubling, Args{Rank: p.Rank(), Size: p.Size(), X: x, Op: OpMax}), 2)
 		if x[0] != 6 {
 			panic(fmt.Sprintf("max = %v", x))
 		}
 		y := []float64{float64(p.Rank() + 3)}
-		runSched(p, BuildAllreduce(p.Rank(), p.Size(), y, OpMin), 3)
+		runSched(p, plan(OpAllreduce, AlgoRecDoubling, Args{Rank: p.Rank(), Size: p.Size(), X: y, Op: OpMin}), 3)
 		if y[0] != 3 {
 			panic(fmt.Sprintf("min = %v", y))
 		}
@@ -169,7 +185,7 @@ func TestReduceAllRootsAllNP(t *testing.T) {
 			n, root := n, root
 			runAll(t, n, func(p *peer) {
 				x := []float64{float64(p.Rank() + 1)}
-				runSched(p, BuildReduce(p.Rank(), p.Size(), root, x, OpSum), 4)
+				runSched(p, plan(OpReduce, AlgoBinomial, Args{Rank: p.Rank(), Size: p.Size(), Root: root, X: x, Op: OpSum}), 4)
 				if p.Rank() == root && x[0] != float64(n*(n+1))/2 {
 					panic(fmt.Sprintf("np=%d root=%d: %v", n, root, x))
 				}
@@ -187,7 +203,7 @@ func TestAllgatherAllNP(t *testing.T) {
 				out[i] = make([]byte, 3)
 			}
 			mine := []byte{byte(p.Rank()), 0xBE, 0xEF}
-			runSched(p, BuildAllgather(p.Rank(), p.Size(), mine, out), 5)
+			runSched(p, plan(OpAllgather, AlgoRing, Args{Rank: p.Rank(), Size: p.Size(), Mine: mine, Out: out}), 5)
 			for r := 0; r < n; r++ {
 				if out[r][0] != byte(r) || out[r][1] != 0xBE {
 					panic(fmt.Sprintf("np=%d rank=%d out[%d]=%v", n, p.Rank(), r, out[r]))
@@ -207,7 +223,7 @@ func TestAlltoallAllNP(t *testing.T) {
 				send[i] = []byte{byte(p.Rank()), byte(i)}
 				recv[i] = make([]byte, 2)
 			}
-			runSched(p, BuildAlltoall(p.Rank(), p.Size(), send, recv), 6)
+			runSched(p, plan(OpAlltoall, AlgoPairwise, Args{Rank: p.Rank(), Size: p.Size(), Send: send, Recv: recv}), 6)
 			for r := 0; r < n; r++ {
 				if recv[r][0] != byte(r) || recv[r][1] != byte(p.Rank()) {
 					panic(fmt.Sprintf("np=%d rank=%d recv[%d]=%v", n, p.Rank(), r, recv[r]))
@@ -225,7 +241,7 @@ func TestGatherAllNP(t *testing.T) {
 			for i := range out {
 				out[i] = make([]byte, 1)
 			}
-			runSched(p, BuildGather(p.Rank(), p.Size(), 0, []byte{byte(p.Rank() * 2)}, out), 7)
+			runSched(p, plan(OpGather, AlgoLinear, Args{Rank: p.Rank(), Size: p.Size(), Root: 0, Mine: []byte{byte(p.Rank() * 2)}, Out: out}), 7)
 			if p.Rank() == 0 {
 				for r := 0; r < n; r++ {
 					if out[r][0] != byte(r*2) {
@@ -289,7 +305,7 @@ func TestPropertyAllreduceEqualsSerialSum(t *testing.T) {
 				defer wg.Done()
 				p := &peer{f: f2, rank: r}
 				x := []float64{vals[r]}
-				runSched(p, BuildAllreduce(p.Rank(), p.Size(), x, OpSum), 2)
+				runSched(p, plan(OpAllreduce, AlgoRecDoubling, Args{Rank: p.Rank(), Size: p.Size(), X: x, Op: OpSum}), 2)
 				if math.Abs(x[0]-want) > 1e-9 {
 					mu.Lock()
 					ok = false

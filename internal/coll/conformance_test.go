@@ -267,9 +267,24 @@ func confNodes(rng *rand.Rand, np int) []int {
 	return nodes
 }
 
-func cpb(b []byte) []byte { return append([]byte(nil), b...) }
+// vb and vf copy a generated input for binding e of a trial: binding 0 gets
+// the input as drawn, binding 1 a transform of it, so the two bindings of
+// one plan carry distinct data (integer-valued floats stay exact).
+func vb(e int, b []byte) []byte {
+	v := append([]byte(nil), b...)
+	for i := range v {
+		v[i] ^= byte(e) * 0x5A
+	}
+	return v
+}
 
-func cpf(x []float64) []float64 { return append([]float64(nil), x...) }
+func vf(e int, x []float64) []float64 {
+	v := append([]float64(nil), x...)
+	for i := range v {
+		v[i] -= float64(e) * (2*v[i] + 3)
+	}
+	return v
+}
 
 // ---- the harness ------------------------------------------------------------
 
@@ -280,37 +295,155 @@ func cpf(x []float64) []float64 { return append([]float64(nil), x...) }
 // what data moves.
 var confStripe Striping
 
-// confExec builds every rank's schedule on the test goroutine (asserting
-// the round shape), executes them over the fabric, and returns the per-rank
-// outputs read by out.
+// confExec builds every rank's plan once on the test goroutine (asserting
+// the round shape) from binding 0's arguments, then executes bindings 0
+// and 1 of that one plan at once over the fabric, interleaved round by
+// round, each from a scratch arena filled with a non-zero pattern. mk(e,
+// rank) returns fresh buffers holding binding e's inputs, plus a reader of
+// the outputs they end up holding. Exact equality of both executions
+// against their references pins that no builder reads scratch before
+// writing it and that no plan names caller memory.
 func confExec(t *testing.T, label string, reg Registration, np int,
-	mkArgs func(rank int) Args, out func(rank int) rankOut) []rankOut {
+	mk func(e, rank int) (Args, func() rankOut)) [2][]rankOut {
 	t.Helper()
-	scheds := make([]*Schedule, np)
+	plans := make([]*Schedule, np)
+	var args [2][]Args
+	var outs [2][]func() rankOut
+	for e := range args {
+		args[e], outs[e] = make([]Args, np), make([]func() rankOut, np)
+		for r := 0; r < np; r++ {
+			a, out := mk(e, r)
+			a.Rank, a.Size = r, np
+			a.Stripe, a.Rails = confStripe.Width, confStripe.Rails
+			args[e][r], outs[e][r] = a, out
+		}
+	}
 	for r := 0; r < np; r++ {
-		a := mkArgs(r)
-		a.Rank, a.Size = r, np
-		a.Stripe, a.Rails = confStripe.Width, confStripe.Rails
-		scheds[r] = Build(Key{Op: reg.Op, Algo: reg.Algo}, a)
-		checkRoundShape(t, scheds[r], fmt.Sprintf("%s/r%d", label, r))
+		plans[r] = Build(Key{Op: reg.Op, Algo: reg.Algo}, args[0][r])
+		checkRoundShape(t, plans[r], fmt.Sprintf("%s/r%d", label, r))
 	}
 	runConf(t, np, func(p *peer) rankOut {
-		runSched(p, scheds[p.rank], confTag)
+		s := plans[p.rank]
+		var ex [2]confRun
+		for e := range ex {
+			ex[e].tag = confTag + int32(e)
+			ex[e].bd.Bind(s, args[e][p.rank])
+			for i := range ex[e].bd.scratch {
+				ex[e].bd.scratch[i] = 0xA5
+			}
+		}
+		for {
+			var chs [2]chan []byte
+			progressed, done := false, true
+			for e := range ex {
+				ch, prog := ex[e].step(p, s)
+				chs[e], progressed = ch, progressed || prog
+				done = done && ex[e].ri == len(s.Rounds)
+			}
+			if done {
+				break
+			}
+			if progressed {
+				continue
+			}
+			select { // both wait on a peer: block until either's message lands
+			case m := <-chs[0]:
+				ex[0].land(s, m)
+			case m := <-chs[1]:
+				ex[1].land(s, m)
+			}
+		}
+		for e := range ex {
+			ex[e].bd.Release(s)
+		}
 		return rankOut{}
 	})
-	outs := make([]rankOut, np)
-	for r := 0; r < np; r++ {
-		outs[r] = out(r)
+	var res [2][]rankOut
+	for e := range res {
+		res[e] = make([]rankOut, np)
+		for r := 0; r < np; r++ {
+			res[e][r] = outs[e][r]()
+		}
 	}
-	return outs
+	return res
 }
 
-func confCompare(t *testing.T, label string, algo, ref []rankOut) {
+// confRun is one execution of a plan on one rank of the fabric: its
+// binding, its tag, and how far through the plan it is. step and land let
+// several executions share a rank's goroutine without one's blocking
+// receive stalling the others.
+type confRun struct {
+	bd   Binding
+	tag  int32
+	ri   int  // current round
+	ci   int  // next Comm prim of the round to receive into
+	sent bool // the current round's sends are posted
+}
+
+// step advances r by at most one round without blocking: it posts the
+// round's sends, takes the receives already queued, and runs the local
+// prims once all have landed. It returns the channel of the receive r waits
+// on (nil if none) and whether it made progress.
+func (r *confRun) step(p *peer, s *Schedule) (chan []byte, bool) {
+	if r.ri == len(s.Rounds) {
+		return nil, false
+	}
+	rd := &s.Rounds[r.ri]
+	progressed := !r.sent
+	if !r.sent {
+		for i := range rd.Comm {
+			if pr := &rd.Comm[i]; pr.Kind == PrimSend {
+				p.SendT(pr.Peer, r.tag, r.bd.SendPayload(pr))
+			}
+		}
+		r.sent, r.ci = true, 0
+	}
+	for ; r.ci < len(rd.Comm); r.ci++ {
+		pr := &rd.Comm[r.ci]
+		if pr.Kind != PrimRecv {
+			continue
+		}
+		ch := p.f.chanFor(pr.Peer, p.rank, r.tag)
+		select {
+		case m := <-ch:
+			copy(r.bd.RecvBuf(pr), m)
+			progressed = true
+		default:
+			return ch, progressed
+		}
+	}
+	for i := range rd.Local {
+		r.bd.RunLocal(&rd.Local[i])
+	}
+	r.ri, r.sent = r.ri+1, false
+	return nil, true
+}
+
+// land delivers message m to the receive r's step returned the channel of.
+func (r *confRun) land(s *Schedule, m []byte) {
+	copy(r.bd.RecvBuf(&s.Rounds[r.ri].Comm[r.ci]), m)
+	r.ci++
+}
+
+// confRef runs the straight-line reference once per binding's inputs.
+func confRef(t *testing.T, np int, fn func(e int, p *peer) rankOut) [2][]rankOut {
 	t.Helper()
-	for r := range algo {
-		if !reflect.DeepEqual(algo[r], ref[r]) {
-			t.Fatalf("%s: rank %d diverges from the reference\n algo: %+v\n  ref: %+v",
-				label, r, algo[r], ref[r])
+	var ref [2][]rankOut
+	for e := range ref {
+		ref[e] = runConf(t, np, func(p *peer) rankOut { return fn(e, p) })
+	}
+	return ref
+}
+
+// confCompare checks both executions' outputs against their references.
+func confCompare(t *testing.T, label string, algo, ref [2][]rankOut) {
+	t.Helper()
+	for e := range algo {
+		for r := range algo[e] {
+			if !reflect.DeepEqual(algo[e][r], ref[e][r]) {
+				t.Fatalf("%s: binding %d, rank %d diverges from the reference\n algo: %+v\n  ref: %+v",
+					label, e, r, algo[e][r], ref[e][r])
+			}
 		}
 	}
 }
@@ -325,38 +458,31 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 
 	switch reg.Op {
 	case OpBarrier:
-		a := confExec(t, label, reg, np,
-			func(rank int) Args { return Args{Nodes: nodes} },
-			func(rank int) rankOut { return rankOut{} })
-		ref := runConf(t, np, func(p *peer) rankOut { refBarrier(p); return rankOut{} })
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			return Args{Nodes: nodes}, func() rankOut { return rankOut{} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut { refBarrier(p); return rankOut{} })
 		confCompare(t, label, a, ref)
 
 	case OpBcast:
 		data := confBytes(rng, confLen(rng))
-		bufs := make([][]byte, np)
-		mk := func() func(rank int) []byte {
-			return func(rank int) []byte {
-				buf := make([]byte, len(data))
-				if rank == root {
-					copy(buf, data)
-				} else {
-					for i := range buf {
-						buf[i] = 0xAA
-					}
-				}
-				return buf
+		mkBuf := func(e, rank int) []byte {
+			if rank == root {
+				return vb(e, data)
 			}
+			buf := make([]byte, len(data))
+			for i := range buf {
+				buf[i] = 0xAA
+			}
+			return buf
 		}
-		mkBuf := mk()
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				bufs[rank] = mkBuf(rank)
-				return Args{Root: root, Data: bufs[rank], Nodes: nodes}
-			},
-			func(rank int) rankOut { return rankOut{B: [][]byte{bufs[rank]}} })
-		mkRef := mk()
-		ref := runConf(t, np, func(p *peer) rankOut {
-			buf := mkRef(p.rank)
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			buf := mkBuf(e, rank)
+			return Args{Root: root, Data: buf, Nodes: nodes},
+				func() rankOut { return rankOut{B: [][]byte{buf}} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
+			buf := mkBuf(e, p.rank)
 			refBcast(p, root, buf)
 			return rankOut{B: [][]byte{buf}}
 		})
@@ -369,20 +495,17 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 		for r := range xs {
 			xs[r] = confF64s(rng, m)
 		}
-		vecs := make([][]float64, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				vecs[rank] = cpf(xs[rank])
-				return Args{Root: root, X: vecs[rank], Op: op, Nodes: nodes}
-			},
-			func(rank int) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			x := vf(e, xs[rank])
+			return Args{Root: root, X: x, Op: op, Nodes: nodes}, func() rankOut {
 				if rank != root {
 					return rankOut{} // non-root x is scratch, by contract
 				}
-				return rankOut{X: [][]float64{vecs[rank]}}
-			})
-		ref := runConf(t, np, func(p *peer) rankOut {
-			x := cpf(xs[p.rank])
+				return rankOut{X: [][]float64{x}}
+			}
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
+			x := vf(e, xs[p.rank])
 			refReduce(p, root, x, op)
 			if p.rank != root {
 				return rankOut{}
@@ -398,15 +521,13 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 		for r := range xs {
 			xs[r] = confF64s(rng, m)
 		}
-		vecs := make([][]float64, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				vecs[rank] = cpf(xs[rank])
-				return Args{X: vecs[rank], Op: op, Nodes: nodes}
-			},
-			func(rank int) rankOut { return rankOut{X: [][]float64{vecs[rank]}} })
-		ref := runConf(t, np, func(p *peer) rankOut {
-			x := cpf(xs[p.rank])
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			x := vf(e, xs[rank])
+			return Args{X: x, Op: op, Nodes: nodes},
+				func() rankOut { return rankOut{X: [][]float64{x}} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
+			x := vf(e, xs[p.rank])
 			refAllreduce(p, x, op)
 			return rankOut{X: [][]float64{x}}
 		})
@@ -434,17 +555,14 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 			}
 			return out
 		}
-		outs := make([][][]byte, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				outs[rank] = mkOut()
-				return Args{Mine: cpb(mines[rank]), Out: outs[rank],
-					RCounts: counts, Nodes: nodes}
-			},
-			func(rank int) rankOut { return rankOut{B: outs[rank]} })
-		ref := runConf(t, np, func(p *peer) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
 			out := mkOut()
-			refAllgather(p, cpb(mines[p.rank]), out)
+			return Args{Mine: vb(e, mines[rank]), Out: out, RCounts: counts, Nodes: nodes},
+				func() rankOut { return rankOut{B: out} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
+			out := mkOut()
+			refAllgather(p, vb(e, mines[p.rank]), out)
 			return rankOut{B: out}
 		})
 		confCompare(t, label, a, ref)
@@ -480,23 +598,21 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 			}
 			return recv
 		}
-		cpSend := func(rank int) [][]byte {
+		cpSend := func(e, rank int) [][]byte {
 			send := make([][]byte, np)
 			for d := range send {
-				send[d] = cpb(sends[rank][d])
+				send[d] = vb(e, sends[rank][d])
 			}
 			return send
 		}
-		recvs := make([][][]byte, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				recvs[rank] = mkRecv(rank)
-				return Args{Send: cpSend(rank), Recv: recvs[rank], Nodes: nodes}
-			},
-			func(rank int) rankOut { return rankOut{B: recvs[rank]} })
-		ref := runConf(t, np, func(p *peer) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			recv := mkRecv(rank)
+			return Args{Send: cpSend(e, rank), Recv: recv, Nodes: nodes},
+				func() rankOut { return rankOut{B: recv} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
 			recv := mkRecv(p.rank)
-			refAlltoall(p, cpSend(p.rank), recv)
+			refAlltoall(p, cpSend(e, p.rank), recv)
 			return rankOut{B: recv}
 		})
 		confCompare(t, label, a, ref)
@@ -523,29 +639,21 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 			}
 			return out
 		}
-		outs := make([][][]byte, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				a := Args{Root: root, Mine: cpb(mines[rank]), Nodes: nodes}
-				if rank == root {
-					outs[rank] = mkOut()
-					a.Out = outs[rank]
-				}
-				return a
-			},
-			func(rank int) rankOut {
-				if rank != root {
-					return rankOut{}
-				}
-				return rankOut{B: outs[rank]}
-			})
-		ref := runConf(t, np, func(p *peer) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			a := Args{Root: root, Mine: vb(e, mines[rank]), Nodes: nodes}
+			if rank != root {
+				return a, func() rankOut { return rankOut{} }
+			}
+			a.Out = mkOut()
+			return a, func() rankOut { return rankOut{B: a.Out} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
 			if p.rank != root {
-				refGather(p, root, cpb(mines[p.rank]), nil)
+				refGather(p, root, vb(e, mines[p.rank]), nil)
 				return rankOut{}
 			}
 			out := mkOut()
-			refGather(p, root, cpb(mines[p.rank]), out)
+			refGather(p, root, vb(e, mines[p.rank]), out)
 			return rankOut{B: out}
 		})
 		confCompare(t, label, a, ref)
@@ -565,28 +673,24 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 		for r := range blocks {
 			blocks[r] = confBytes(rng, counts[r])
 		}
-		cpBlocks := func() [][]byte {
+		cpBlocks := func(e int) [][]byte {
 			bs := make([][]byte, np)
 			for r := range bs {
-				bs[r] = cpb(blocks[r])
+				bs[r] = vb(e, blocks[r])
 			}
 			return bs
 		}
-		bufs := make([][]byte, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				bufs[rank] = make([]byte, counts[rank])
-				a := Args{Root: root, Mine: bufs[rank], Nodes: nodes}
-				if rank == root {
-					a.Send = cpBlocks()
-				}
-				return a
-			},
-			func(rank int) rankOut { return rankOut{B: [][]byte{bufs[rank]}} })
-		ref := runConf(t, np, func(p *peer) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			a := Args{Root: root, Mine: make([]byte, counts[rank]), Nodes: nodes}
+			if rank == root {
+				a.Send = cpBlocks(e)
+			}
+			return a, func() rankOut { return rankOut{B: [][]byte{a.Mine}} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
 			buf := make([]byte, counts[p.rank])
 			if p.rank == root {
-				refScatter(p, root, cpBlocks(), buf)
+				refScatter(p, root, cpBlocks(e), buf)
 			} else {
 				refScatter(p, root, nil, buf)
 			}
@@ -605,17 +709,14 @@ func confTrial(t *testing.T, reg Registration, np int, nodes []int, rng *rand.Ra
 		for r := range xs {
 			xs[r] = confF64s(rng, total)
 		}
-		recvs := make([][]float64, np)
-		a := confExec(t, label, reg, np,
-			func(rank int) Args {
-				recvs[rank] = make([]float64, counts[rank])
-				return Args{X: cpf(xs[rank]), RecvF64: recvs[rank],
-					RCounts: counts, Op: op, Nodes: nodes}
-			},
-			func(rank int) rankOut { return rankOut{X: [][]float64{recvs[rank]}} })
-		ref := runConf(t, np, func(p *peer) rankOut {
+		a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+			recv := make([]float64, counts[rank])
+			return Args{X: vf(e, xs[rank]), RecvF64: recv, RCounts: counts, Op: op, Nodes: nodes},
+				func() rankOut { return rankOut{X: [][]float64{recv}} }
+		})
+		ref := confRef(t, np, func(e int, p *peer) rankOut {
 			recv := make([]float64, counts[p.rank])
-			refReduceScatter(p, cpf(xs[p.rank]), recv, counts, op)
+			refReduceScatter(p, vf(e, xs[p.rank]), recv, counts, op)
 			return rankOut{X: [][]float64{recv}}
 		})
 		confCompare(t, label, a, ref)

@@ -96,18 +96,15 @@ func TestConformanceNPScaleSparseCounts(t *testing.T) {
 	for r := range xs {
 		xs[r] = confF64s(rng, total)
 	}
-	recvs := make([][]float64, np)
 	label := fmt.Sprintf("%s/%s/np%d/sparse", reg.Op, reg.Algo, np)
-	a := confExec(t, label, reg, np,
-		func(rank int) Args {
-			recvs[rank] = make([]float64, counts[rank])
-			return Args{X: cpf(xs[rank]), RecvF64: recvs[rank],
-				RCounts: counts, Op: op}
-		},
-		func(rank int) rankOut { return rankOut{X: [][]float64{recvs[rank]}} })
-	ref := runConf(t, np, func(p *peer) rankOut {
+	a := confExec(t, label, reg, np, func(e, rank int) (Args, func() rankOut) {
+		recv := make([]float64, counts[rank])
+		return Args{X: vf(e, xs[rank]), RecvF64: recv, RCounts: counts, Op: op},
+			func() rankOut { return rankOut{X: [][]float64{recv}} }
+	})
+	ref := confRef(t, np, func(e int, p *peer) rankOut {
 		recv := make([]float64, counts[p.rank])
-		refReduceScatter(p, cpf(xs[p.rank]), recv, counts, op)
+		refReduceScatter(p, vf(e, xs[p.rank]), recv, counts, op)
 		return rankOut{X: [][]float64{recv}}
 	})
 	confCompare(t, label, a, ref)

@@ -124,8 +124,9 @@ func (a Algo) String() string {
 	return fmt.Sprintf("algo(%d)", uint8(a))
 }
 
-// Args carries one invocation's parameters into a registered builder. Only
-// the fields an operation uses are read: Data for bcast, X/Op for the
+// Args carries one invocation's parameters: its shape into a registered
+// builder, its buffers and operator into the Binding of each execution.
+// Only the fields an operation uses are read: Data for bcast, X/Op for the
 // reductions, Mine/Out for allgather and gather, Send for scatter's blocks,
 // Send/Recv for alltoall, Nodes for the two-level variants. The vector ops
 // add per-rank count vectors: Send/Recv/Out hold the variable-length block
@@ -157,15 +158,6 @@ type Args struct {
 	RCounts []int
 	RecvF64 []float64
 
-	// SDispls is set (and folded into the signature) only when the caller's
-	// send blocks overlap in the flat buffer — legal for sends, since they
-	// are only read. Disjoint layouts rebind positionally whatever their
-	// displacements, but overlapping regions make pointer-containment
-	// rebinding ambiguous, so aliased layouts key on their exact
-	// displacements instead. (Overlapping *receive* blocks are rejected at
-	// the mpi entry points: they would corrupt data, not just the cache.)
-	SDispls []int
-
 	// Seg is the pipeline segment size in bytes for the segmented builders
 	// (0 selects DefSegBytes). It is schedule *shape* — two invocations with
 	// different segment sizes compile structurally different round programs
@@ -188,6 +180,17 @@ type Args struct {
 	Rails  []RailInfo
 }
 
+// The region refs of a's buffers, derived from their lengths alone. The
+// builders see an invocation's buffers only through these, so what they
+// compile depends on the invocation's shape and serves every binding of it.
+func (a Args) DataRef() Ref    { return whole(slotData, len(a.Data)) }
+func (a Args) MineRef() Ref    { return whole(slotMine, len(a.Mine)) }
+func (a Args) XRef() Ref       { return whole(slotX, len(a.X)) }
+func (a Args) RecvF64Ref() Ref { return whole(slotRecvF64, len(a.RecvF64)) }
+func (a Args) OutRefs() []Ref  { return blockRefs(slotOut, a.Out) }
+func (a Args) SendRefs() []Ref { return blockRefs(slotSend, a.Send) }
+func (a Args) RecvRefs() []Ref { return blockRefs(slotRecv, a.Recv) }
+
 // Builder compiles one rank's schedule for one (op, algorithm) pair.
 type Builder func(a Args) *Schedule
 
@@ -198,92 +201,92 @@ func Register(op OpKind, algo Algo, b Builder) { registry[op][algo] = b }
 
 func init() {
 	Register(OpBarrier, AlgoDissemination, func(a Args) *Schedule {
-		return BuildBarrier(a.Rank, a.Size)
+		return buildBarrier(a.Rank, a.Size)
 	})
 	Register(OpBarrier, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildBarrierTwoLevel(a.Rank, a.Nodes)
+		return buildBarrierTwoLevel(a.Rank, a.Nodes)
 	})
 	Register(OpBcast, AlgoBinomial, func(a Args) *Schedule {
-		return BuildBcast(a.Rank, a.Size, a.Root, a.Data)
+		return buildBcast(a.Rank, a.Size, a.Root, a.DataRef())
 	})
 	Register(OpBcast, AlgoScatterAllgather, func(a Args) *Schedule {
-		return BuildBcastScatterAllgather(a.Rank, a.Size, a.Root, a.Data)
+		return buildBcastScatterAllgather(a.Rank, a.Size, a.Root, a.DataRef())
 	})
 	Register(OpBcast, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildBcastTwoLevelStriped(a.Rank, a.Nodes, a.Root, a.Data, a.striping())
+		return buildBcastTwoLevel(a.Rank, a.Nodes, a.Root, a.DataRef(), a.striping())
 	})
 	Register(OpBcast, AlgoChain, func(a Args) *Schedule {
-		return BuildBcastChainStriped(a.Rank, a.Size, a.Root, a.Data, a.Seg, a.striping())
+		return buildBcastChain(a.Rank, a.Size, a.Root, a.DataRef(), a.Seg, a.striping())
 	})
 	Register(OpBcast, AlgoSegBinomial, func(a Args) *Schedule {
-		return BuildBcastSegBinomialStriped(a.Rank, a.Size, a.Root, a.Data, a.Seg, a.striping())
+		return buildBcastSegBinomial(a.Rank, a.Size, a.Root, a.DataRef(), a.Seg, a.striping())
 	})
 	Register(OpReduce, AlgoBinomial, func(a Args) *Schedule {
-		return BuildReduce(a.Rank, a.Size, a.Root, a.X, a.Op)
+		return buildReduce(a.Rank, a.Size, a.Root, a.XRef())
 	})
 	Register(OpAllreduce, AlgoRecDoubling, func(a Args) *Schedule {
-		return BuildAllreduce(a.Rank, a.Size, a.X, a.Op)
+		return buildAllreduce(a.Rank, a.Size, a.XRef())
 	})
 	Register(OpAllreduce, AlgoRabenseifner, func(a Args) *Schedule {
-		return BuildAllreduceRabenseifner(a.Rank, a.Size, a.X, a.Op)
+		return buildAllreduceRabenseifner(a.Rank, a.Size, a.XRef())
 	})
 	Register(OpAllreduce, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildAllreduceTwoLevelStriped(a.Rank, a.Nodes, a.X, a.Op, a.striping())
+		return buildAllreduceTwoLevel(a.Rank, a.Nodes, a.XRef(), a.striping())
 	})
 	Register(OpAllreduce, AlgoSegRing, func(a Args) *Schedule {
-		return BuildAllreduceSegRingStriped(a.Rank, a.Size, a.X, a.Op, a.Seg, a.striping())
+		return buildAllreduceSegRing(a.Rank, a.Size, a.XRef(), a.Seg, a.striping())
 	})
 	Register(OpAllgather, AlgoRing, func(a Args) *Schedule {
-		return BuildAllgather(a.Rank, a.Size, a.Mine, a.Out)
+		return buildAllgather(a.Rank, a.Size, a.MineRef(), a.OutRefs())
 	})
 	Register(OpAllgather, AlgoBruck, func(a Args) *Schedule {
-		return BuildAllgatherBruck(a.Rank, a.Size, a.Mine, a.Out)
+		return buildAllgatherBruck(a.Rank, a.Size, a.MineRef(), a.OutRefs())
 	})
 	Register(OpAllgather, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildAllgatherTwoLevel(a.Rank, a.Nodes, a.Mine, a.Out)
+		return buildAllgatherTwoLevel(a.Rank, a.Nodes, a.MineRef(), a.OutRefs())
 	})
 	Register(OpAlltoall, AlgoPairwise, func(a Args) *Schedule {
-		return BuildAlltoall(a.Rank, a.Size, a.Send, a.Recv)
+		return buildAlltoall(a.Rank, a.Size, a.SendRefs(), a.RecvRefs())
 	})
 	Register(OpAlltoall, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildAlltoallTwoLevel(a.Rank, a.Nodes, a.Send, a.Recv)
+		return buildAlltoallTwoLevel(a.Rank, a.Nodes, a.SendRefs(), a.RecvRefs())
 	})
 	Register(OpGather, AlgoLinear, func(a Args) *Schedule {
-		return BuildGather(a.Rank, a.Size, a.Root, a.Mine, a.Out)
+		return buildGather(a.Rank, a.Size, a.Root, a.MineRef(), a.OutRefs())
 	})
 	Register(OpScatter, AlgoLinear, func(a Args) *Schedule {
-		return BuildScatter(a.Rank, a.Size, a.Root, a.Send, a.Mine)
+		return buildScatter(a.Rank, a.Size, a.Root, a.SendRefs(), a.MineRef())
 	})
 
 	// Vector ops. Alltoallv and reduce-scatter have dedicated builders;
 	// allgatherv, gatherv and scatterv reuse the block-view builders, which
 	// already handle per-rank lengths (zero-length blocks included).
 	Register(OpAlltoallv, AlgoPairwise, func(a Args) *Schedule {
-		return BuildAlltoallv(a.Rank, a.Size, a.Send, a.Recv, true)
+		return buildAlltoallv(a.Rank, a.Size, a.SendRefs(), a.RecvRefs(), true)
 	})
 	Register(OpAlltoallv, AlgoRing, func(a Args) *Schedule {
-		return BuildAlltoallv(a.Rank, a.Size, a.Send, a.Recv, false)
+		return buildAlltoallv(a.Rank, a.Size, a.SendRefs(), a.RecvRefs(), false)
 	})
 	Register(OpAllgatherv, AlgoRing, func(a Args) *Schedule {
-		return BuildAllgather(a.Rank, a.Size, a.Mine, a.Out)
+		return buildAllgather(a.Rank, a.Size, a.MineRef(), a.OutRefs())
 	})
 	Register(OpAllgatherv, AlgoBruck, func(a Args) *Schedule {
-		return BuildAllgatherBruck(a.Rank, a.Size, a.Mine, a.Out)
+		return buildAllgatherBruck(a.Rank, a.Size, a.MineRef(), a.OutRefs())
 	})
 	Register(OpAllgatherv, AlgoTwoLevel, func(a Args) *Schedule {
-		return BuildAllgatherTwoLevel(a.Rank, a.Nodes, a.Mine, a.Out)
+		return buildAllgatherTwoLevel(a.Rank, a.Nodes, a.MineRef(), a.OutRefs())
 	})
 	Register(OpGatherv, AlgoLinear, func(a Args) *Schedule {
-		return BuildGather(a.Rank, a.Size, a.Root, a.Mine, a.Out)
+		return buildGather(a.Rank, a.Size, a.Root, a.MineRef(), a.OutRefs())
 	})
 	Register(OpScatterv, AlgoLinear, func(a Args) *Schedule {
-		return BuildScatter(a.Rank, a.Size, a.Root, a.Send, a.Mine)
+		return buildScatter(a.Rank, a.Size, a.Root, a.SendRefs(), a.MineRef())
 	})
 	Register(OpReduceScatter, AlgoRecHalving, func(a Args) *Schedule {
-		return BuildReduceScatterHalving(a.Rank, a.Size, a.X, a.RecvF64, a.RCounts, a.Op)
+		return buildReduceScatterHalving(a.Rank, a.Size, a.XRef(), a.RecvF64Ref(), a.RCounts)
 	})
 	Register(OpReduceScatter, AlgoPairwise, func(a Args) *Schedule {
-		return BuildReduceScatterPairwise(a.Rank, a.Size, a.X, a.RecvF64, a.RCounts, a.Op)
+		return buildReduceScatterPairwise(a.Rank, a.Size, a.XRef(), a.RecvF64Ref(), a.RCounts)
 	})
 }
 
@@ -531,9 +534,9 @@ func builderFallback(op OpKind, algo Algo, size int) Algo {
 // Key canonicalizes one collective invocation's compiled shape on a given
 // communicator: operation, selected algorithm, root, the stack identity the
 // selection ran under, and the counts signature. Two invocations with equal
-// keys on the same communicator compile to structurally identical
-// schedules, differing only in which caller buffers they are bound to — the
-// property the per-communicator schedule cache (mpi) relies on. Stack is
+// keys on the same communicator compile to identical plans, which any
+// number of executions share through their own bindings — the property
+// the per-communicator schedule cache (mpi) relies on. Stack is
 // part of the key because selection is stack-dependent once tables are in
 // play: keys minted under different calibrations must never conflate.
 type Key struct {
@@ -655,7 +658,8 @@ func FallsBack(op OpKind, algo Algo, size int) bool {
 	return false
 }
 
-// Build compiles a's schedule with key's algorithm.
+// Build compiles the plan for a's shape with key's algorithm. Only a's
+// lengths and communicator fields are read: executions bind buffers later.
 func Build(key Key, a Args) *Schedule {
 	b := registry[key.Op][key.Algo]
 	if b == nil {
@@ -750,26 +754,17 @@ func sigOf(op OpKind, a Args) string {
 	writeLens(a.Out)
 	writeLens(a.Send)
 	writeLens(a.Recv)
-	writeInts := func(tag byte, xs []int) {
-		sb.WriteByte('/')
-		sb.WriteByte(tag)
-		for i, x := range xs {
+	// The counts signature, for the ops whose structure the views do not
+	// already pin. Displacements never enter the key: they change which
+	// memory an execution binds, not the plan's structure.
+	if countsInSig(op) {
+		sb.WriteString("/c")
+		for i, x := range a.RCounts {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
 			sb.WriteString(strconv.Itoa(x))
 		}
-	}
-	// The counts signature, for the ops whose structure the views do not
-	// already pin. Displacements stay out of the key for disjoint layouts —
-	// they change which buffer regions the blocks bind to, not the
-	// schedule's structure, so Rebind absorbs them — but the mpi layer sets
-	// SDispls/RDispls for overlapping layouts, which must key exactly.
-	if countsInSig(op) {
-		writeInts('c', a.RCounts)
-	}
-	if a.SDispls != nil {
-		writeInts('s', a.SDispls)
 	}
 	return sb.String()
 }

@@ -1,6 +1,9 @@
 package coll
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // This file expresses the collective algorithm set as *schedules*: per-rank
 // programs of rounds, each round holding point-to-point transfers (send/recv
@@ -17,6 +20,64 @@ import "sort"
 // Rounds sequence only the *local* rank: matching between ranks is by
 // (source, tag) as usual, so peers may run ahead by a round; their traffic
 // waits in the unexpected queues until the local schedule catches up.
+//
+// A compiled schedule is a *plan*: immutable once built, and bound to no
+// memory. Its prims name regions (Ref) of an execution's Binding — the
+// caller's argument buffers in Args' canonical order plus a scratch arena
+// laid out at build time — so one plan serves any number of executions of
+// its shape at once, each through its own binding.
+
+// slot names one region of a binding, in Args' canonical order: the
+// argument buffers, then the plan's scratch arena.
+type slot uint8
+
+const (
+	slotData slot = iota
+	slotMine
+	slotOut
+	slotSend
+	slotRecv
+	slotX
+	slotRecvF64
+	slotScratch
+)
+
+// Ref names a region of a binding: n elements at off in slot's buffer (its
+// block'th block for the Out/Send/Recv lists). Elements are bytes, except
+// in the X and RecvF64 slots, which hold float64s. The zero Ref is empty.
+type Ref struct {
+	slot   slot
+	block  int32
+	off, n int32
+}
+
+// Len is the region's length in elements.
+func (r Ref) Len() int { return int(r.n) }
+
+// Sub returns the sub-region [lo, hi) of r, like slicing.
+func (r Ref) Sub(lo, hi int) Ref {
+	if lo < 0 || hi < lo || hi > int(r.n) {
+		panic(fmt.Sprintf("coll: region [%d:%d) out of range [0:%d)", lo, hi, r.n))
+	}
+	r.off += int32(lo)
+	r.n = int32(hi - lo)
+	return r
+}
+
+// f64 reports whether r names float64 elements.
+func (r Ref) f64() bool { return r.slot == slotX || r.slot == slotRecvF64 }
+
+// whole names all of an n-element argument buffer.
+func whole(s slot, n int) Ref { return Ref{slot: s, n: int32(n)} }
+
+// blockRefs names every block of an argument block list.
+func blockRefs(s slot, bs [][]byte) []Ref {
+	refs := make([]Ref, len(bs))
+	for i, b := range bs {
+		refs[i] = Ref{slot: s, block: int32(i), n: int32(len(b))}
+	}
+	return refs
+}
 
 // PrimKind discriminates schedule primitives.
 type PrimKind uint8
@@ -28,7 +89,8 @@ const (
 	PrimRecv
 	// PrimCopy copies Src into Dst locally.
 	PrimCopy
-	// PrimReduce folds the float64 vector encoded in In into AccF64 with Op.
+	// PrimReduce folds the float64 vector encoded in In into AccF64 with
+	// the binding's operator.
 	PrimReduce
 	// PrimDecode overwrites AccF64 with the float64 vector encoded in In.
 	PrimDecode
@@ -43,22 +105,20 @@ type Prim struct {
 	Kind PrimKind
 	// Peer is the destination (send) or source (recv) rank.
 	Peer int
-	// Data is a static send payload, captured at build time.
-	Data []byte
+	// Data is a send payload.
+	Data Ref
 	// AccF64 is a float64 vector: for sends it is encoded at round start
 	// (payloads that earlier rounds mutate must be lazy); for
 	// reduce/decode/copyF64 it is the accumulator written in place.
-	AccF64 []float64
+	AccF64 Ref
 	// SrcF64 is the copyF64 source vector.
-	SrcF64 []float64
+	SrcF64 Ref
 	// Buf is the receive buffer.
-	Buf []byte
+	Buf Ref
 	// Src/Dst are the copy operands.
-	Src, Dst []byte
+	Src, Dst Ref
 	// In is the reduce/decode input (bytes holding a float64 vector).
-	In []byte
-	// Op is the reduction operator.
-	Op Op
+	In Ref
 	// Rail is the multirail placement hint of a send prim: 0 lets the
 	// transport's strategy place the transfer (the default), k > 0 pins it
 	// to rail k-1, and -w < 0 asks the transport to stripe the payload
@@ -78,14 +138,21 @@ type Round struct {
 	Local []Prim
 }
 
-// Schedule is one rank's compiled collective.
+// Schedule is one rank's compiled collective: the plan every execution of
+// its shape shares.
 type Schedule struct {
 	Rounds []Round
 	// Key records what the schedule was compiled as (operation, algorithm,
 	// segment size …). Build stamps it; observability layers read it to name
-	// round and operation events. Zero for schedules built directly by a
-	// Build* function.
+	// round and operation events.
 	Key Key
+
+	// scratch is the arena size the builders reserved (see reserve); arenas
+	// is the free list of arenas that finished executions returned. Bind
+	// and Release update it unsynchronized: a plan belongs to one rank,
+	// whose procs run one at a time.
+	scratch int
+	arenas  [][]byte
 }
 
 // round appends and returns a fresh round.
@@ -94,47 +161,129 @@ func (s *Schedule) round() *Round {
 	return &s.Rounds[len(s.Rounds)-1]
 }
 
-// SendPayload materializes a send prim's wire bytes.
-func SendPayload(pr *Prim) []byte {
-	if pr.AccF64 != nil {
-		return F64Bytes(pr.AccF64)
-	}
-	return pr.Data
+// reserve lays out n bytes of scratch in the plan's arena: builders stage
+// wire aggregates and incoming vectors there, always writing a region
+// before reading it, so a reused arena needs no zeroing.
+func (s *Schedule) reserve(n int) Ref {
+	r := Ref{slot: slotScratch, off: int32(s.scratch), n: int32(n)}
+	s.scratch += n
+	return r
 }
 
+// Binding is one execution's memory: the caller's argument buffers the
+// plan's refs resolve against, the reduction operator, and a scratch arena
+// from the plan's free list.
+type Binding struct {
+	data, mine      []byte
+	out, send, recv [][]byte
+	x, recvF64      []float64
+	op              Op
+	scratch         []byte
+}
+
+// Bind points b at a's buffers (a must have the shape s was built for) and
+// takes a scratch arena from s's free list, allocating one only when the
+// list is empty.
+func (b *Binding) Bind(s *Schedule, a Args) {
+	*b = Binding{data: a.Data, mine: a.Mine, out: a.Out, send: a.Send, recv: a.Recv,
+		x: a.X, recvF64: a.RecvF64, op: a.Op}
+	if n := len(s.arenas); n > 0 {
+		b.scratch = s.arenas[n-1]
+		s.arenas[n-1] = nil
+		s.arenas = s.arenas[:n-1]
+	} else if s.scratch > 0 {
+		b.scratch = make([]byte, s.scratch)
+	}
+}
+
+// Release returns b's arena to s's free list and drops b's references to
+// caller memory. Call it once the execution is over.
+func (b *Binding) Release(s *Schedule) {
+	if b.scratch != nil {
+		s.arenas = append(s.arenas, b.scratch)
+	}
+	*b = Binding{}
+}
+
+// bytes resolves a byte region.
+func (b *Binding) bytes(r Ref) []byte {
+	var buf []byte
+	switch r.slot {
+	case slotData:
+		buf = b.data
+	case slotMine:
+		buf = b.mine
+	case slotOut:
+		buf = b.out[r.block]
+	case slotSend:
+		buf = b.send[r.block]
+	case slotRecv:
+		buf = b.recv[r.block]
+	case slotScratch:
+		buf = b.scratch
+	default:
+		panic(fmt.Sprintf("coll: slot %d holds no bytes", r.slot))
+	}
+	return buf[r.off : r.off+r.n]
+}
+
+// f64s resolves a float64 region.
+func (b *Binding) f64s(r Ref) []float64 {
+	var v []float64
+	switch r.slot {
+	case slotX:
+		v = b.x
+	case slotRecvF64:
+		v = b.recvF64
+	default:
+		panic(fmt.Sprintf("coll: slot %d holds no float64s", r.slot))
+	}
+	return v[r.off : r.off+r.n]
+}
+
+// SendPayload materializes a send prim's wire bytes.
+func (b *Binding) SendPayload(pr *Prim) []byte {
+	if pr.AccF64.f64() {
+		return F64Bytes(b.f64s(pr.AccF64))
+	}
+	return b.bytes(pr.Data)
+}
+
+// RecvBuf resolves a receive prim's buffer.
+func (b *Binding) RecvBuf(pr *Prim) []byte { return b.bytes(pr.Buf) }
+
 // RunLocal executes a local prim.
-func RunLocal(pr *Prim) {
+func (b *Binding) RunLocal(pr *Prim) {
 	switch pr.Kind {
 	case PrimCopy:
-		copy(pr.Dst, pr.Src)
+		copy(b.bytes(pr.Dst), b.bytes(pr.Src))
 	case PrimReduce:
-		for i := range pr.AccF64 {
-			pr.AccF64[i] = pr.Op(pr.AccF64[i], f64At(pr.In, i))
+		acc, in := b.f64s(pr.AccF64), b.bytes(pr.In)
+		for i := range acc {
+			acc[i] = b.op(acc[i], f64At(in, i))
 		}
 	case PrimDecode:
-		BytesF64(pr.AccF64, pr.In)
+		BytesF64(b.f64s(pr.AccF64), b.bytes(pr.In))
 	case PrimCopyF64:
-		copy(pr.AccF64, pr.SrcF64)
+		copy(b.f64s(pr.AccF64), b.f64s(pr.SrcF64))
 	}
 }
 
 // ---- prim constructors -----------------------------------------------------
 
-func sendP(peer int, data []byte) Prim    { return Prim{Kind: PrimSend, Peer: peer, Data: data} }
-func sendF64(peer int, x []float64) Prim  { return Prim{Kind: PrimSend, Peer: peer, AccF64: x} }
-func recvP(peer int, buf []byte) Prim     { return Prim{Kind: PrimRecv, Peer: peer, Buf: buf} }
-func copyP(dst, src []byte) Prim          { return Prim{Kind: PrimCopy, Dst: dst, Src: src} }
-func decodeP(x []float64, in []byte) Prim { return Prim{Kind: PrimDecode, AccF64: x, In: in} }
-func copyF64P(dst, src []float64) Prim    { return Prim{Kind: PrimCopyF64, AccF64: dst, SrcF64: src} }
-func reduceP(x []float64, in []byte, op Op) Prim {
-	return Prim{Kind: PrimReduce, AccF64: x, In: in, Op: op}
-}
+func sendP(peer int, data Ref) Prim { return Prim{Kind: PrimSend, Peer: peer, Data: data} }
+func sendF64(peer int, x Ref) Prim  { return Prim{Kind: PrimSend, Peer: peer, AccF64: x} }
+func recvP(peer int, buf Ref) Prim  { return Prim{Kind: PrimRecv, Peer: peer, Buf: buf} }
+func copyP(dst, src Ref) Prim       { return Prim{Kind: PrimCopy, Dst: dst, Src: src} }
+func decodeP(x, in Ref) Prim        { return Prim{Kind: PrimDecode, AccF64: x, In: in} }
+func copyF64P(dst, src Ref) Prim    { return Prim{Kind: PrimCopyF64, AccF64: dst, SrcF64: src} }
+func reduceP(x, in Ref) Prim        { return Prim{Kind: PrimReduce, AccF64: x, In: in} }
 
 // ---- flat builders (the classic MPICH2 algorithm set) ----------------------
 
-// BuildBarrier compiles a dissemination barrier: ceil(log2(n)) rounds of
+// buildBarrier compiles a dissemination barrier: ceil(log2(n)) rounds of
 // zero-byte exchanges.
-func BuildBarrier(rank, size int) *Schedule {
+func buildBarrier(rank, size int) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
@@ -142,14 +291,14 @@ func BuildBarrier(rank, size int) *Schedule {
 	for k := 1; k < size; k <<= 1 {
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
-			sendP((rank+k)%size, nil),
-			recvP((rank-k+size)%size, nil))
+			sendP((rank+k)%size, Ref{}),
+			recvP((rank-k+size)%size, Ref{}))
 	}
 	return s
 }
 
-// BuildBcast compiles a binomial-tree broadcast of data (in place) from root.
-func BuildBcast(rank, size, root int, data []byte) *Schedule {
+// buildBcast compiles a binomial-tree broadcast of data (in place) from root.
+func buildBcast(rank, size, root int, data Ref) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
@@ -158,30 +307,30 @@ func BuildBcast(rank, size, root int, data []byte) *Schedule {
 	return s
 }
 
-// BuildReduce compiles a binomial-tree reduction of x into root's x over
+// buildReduce compiles a binomial-tree reduction of x into root's x over
 // relative ranks. The operator must be commutative.
-func BuildReduce(rank, size, root int, x []float64, op Op) *Schedule {
+func buildReduce(rank, size, root int, x Ref) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	binomialReduce(s, identGroup(size), root, rank, x, op)
+	binomialReduce(s, identGroup(size), root, rank, x)
 	return s
 }
 
-// BuildAllreduce compiles recursive doubling with the standard pre/post
+// buildAllreduce compiles recursive doubling with the standard pre/post
 // phases for non-power-of-two sizes. The operator must be commutative.
-func BuildAllreduce(rank, size int, x []float64, op Op) *Schedule {
+func buildAllreduce(rank, size int, x Ref) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	rdAllreduce(s, identGroup(size), rank, x, op)
+	rdAllreduce(s, identGroup(size), rank, x)
 	return s
 }
 
-// BuildAllgather compiles the ring allgather: out[r] receives rank r's block.
-func BuildAllgather(rank, size int, mine []byte, out [][]byte) *Schedule {
+// buildAllgather compiles the ring allgather: out[r] receives rank r's block.
+func buildAllgather(rank, size int, mine Ref, out []Ref) *Schedule {
 	s := &Schedule{}
 	rd := s.round()
 	rd.Local = append(rd.Local, copyP(out[rank], mine))
@@ -199,9 +348,9 @@ func BuildAllgather(rank, size int, mine []byte, out [][]byte) *Schedule {
 	return s
 }
 
-// BuildAlltoall compiles the pairwise-exchange alltoall (XOR pattern for
+// buildAlltoall compiles the pairwise-exchange alltoall (XOR pattern for
 // power-of-two sizes, rotated shifts otherwise).
-func BuildAlltoall(rank, size int, send, recv [][]byte) *Schedule {
+func buildAlltoall(rank, size int, send, recv []Ref) *Schedule {
 	s := &Schedule{}
 	rd := s.round()
 	rd.Local = append(rd.Local, copyP(recv[rank], send[rank]))
@@ -225,8 +374,8 @@ func BuildAlltoall(rank, size int, send, recv [][]byte) *Schedule {
 	return s
 }
 
-// BuildGather compiles the linear gather at root (out[r] filled on root only).
-func BuildGather(rank, size, root int, mine []byte, out [][]byte) *Schedule {
+// buildGather compiles the linear gather at root (out[r] filled on root only).
+func buildGather(rank, size, root int, mine Ref, out []Ref) *Schedule {
 	s := &Schedule{}
 	if rank == root {
 		rd := s.round()
@@ -333,7 +482,7 @@ func binomialBcast(s *Schedule, group Group, root, me int,
 
 // binomialBcastBytes broadcasts a byte buffer (in place) over group from
 // root: receivers land directly in data and forward the same buffer.
-func binomialBcastBytes(s *Schedule, group Group, root, me int, data []byte) {
+func binomialBcastBytes(s *Schedule, group Group, root, me int, data Ref) {
 	binomialBcast(s, group, root, me, func(peer int) Prim {
 		return sendP(peer, data)
 	}, func(peer int) (Prim, []Prim) {
@@ -344,12 +493,12 @@ func binomialBcastBytes(s *Schedule, group Group, root, me int, data []byte) {
 // binomialBcastF64 broadcasts the float64 vector x over group from root:
 // receivers land bytes in a scratch buffer, decode into x, and forward x
 // lazily so intermediate tree nodes relay what they received.
-func binomialBcastF64(s *Schedule, group Group, root, me int, x []float64) {
+func binomialBcastF64(s *Schedule, group Group, root, me int, x Ref) {
 	m := group.Len()
 	if m <= 1 || group.Index(me) < 0 {
 		return
 	}
-	scratch := make([]byte, 8*len(x))
+	scratch := s.reserve(8 * x.Len())
 	binomialBcast(s, group, root, me, func(peer int) Prim {
 		return sendF64(peer, x)
 	}, func(peer int) (Prim, []Prim) {
@@ -359,7 +508,7 @@ func binomialBcastF64(s *Schedule, group Group, root, me int, x []float64) {
 
 // binomialReduce appends rank me's rounds of a binomial-tree reduction of x
 // into group-member root's x (clobbered elsewhere). Commutative op only.
-func binomialReduce(s *Schedule, group Group, root, me int, x []float64, op Op) {
+func binomialReduce(s *Schedule, group Group, root, me int, x Ref) {
 	m := group.Len()
 	idx := group.Index(me)
 	rootIdx := group.Index(root)
@@ -367,7 +516,7 @@ func binomialReduce(s *Schedule, group Group, root, me int, x []float64, op Op) 
 		return
 	}
 	vr := (idx - rootIdx + m) % m
-	rbuf := make([]byte, 8*len(x))
+	rbuf := s.reserve(8 * x.Len())
 	mask := 1
 	for mask < m {
 		if vr&mask == 0 {
@@ -375,7 +524,7 @@ func binomialReduce(s *Schedule, group Group, root, me int, x []float64, op Op) 
 			if src < m {
 				rd := s.round()
 				rd.Comm = append(rd.Comm, recvP(group.At((src+rootIdx)%m), rbuf))
-				rd.Local = append(rd.Local, reduceP(x, rbuf, op))
+				rd.Local = append(rd.Local, reduceP(x, rbuf))
 			}
 		} else {
 			dst := group.At(((vr &^ mask) + rootIdx) % m)
@@ -390,7 +539,7 @@ func binomialReduce(s *Schedule, group Group, root, me int, x []float64, op Op) 
 // rdAllreduce appends rank me's rounds of a recursive-doubling allreduce of x
 // over group, with the standard pre/post phases when the group size is not a
 // power of two. Commutative op only.
-func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
+func rdAllreduce(s *Schedule, group Group, me int, x Ref) {
 	m := group.Len()
 	idx := group.Index(me)
 	if idx < 0 || m <= 1 {
@@ -401,7 +550,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 		pof2 *= 2
 	}
 	rem := m - pof2
-	rbuf := make([]byte, 8*len(x))
+	rbuf := s.reserve(8 * x.Len())
 
 	newrank := -1
 	switch {
@@ -411,7 +560,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 	case idx < 2*rem:
 		rd := s.round()
 		rd.Comm = append(rd.Comm, recvP(group.At(idx-1), rbuf))
-		rd.Local = append(rd.Local, reduceP(x, rbuf, op))
+		rd.Local = append(rd.Local, reduceP(x, rbuf))
 		newrank = idx / 2
 	default:
 		newrank = idx - rem
@@ -428,7 +577,7 @@ func rdAllreduce(s *Schedule, group Group, me int, x []float64, op Op) {
 			}
 			rd := s.round()
 			rd.Comm = append(rd.Comm, sendF64(group.At(real), x), recvP(group.At(real), rbuf))
-			rd.Local = append(rd.Local, reduceP(x, rbuf, op))
+			rd.Local = append(rd.Local, reduceP(x, rbuf))
 		}
 	}
 
@@ -483,10 +632,10 @@ func leaderFor(nodes []int, byNode map[int][]int, root, rank int) int {
 	return byNode[nodes[rank]][0]
 }
 
-// BuildBarrierTwoLevel compiles a hierarchical barrier: locals check in with
+// buildBarrierTwoLevel compiles a hierarchical barrier: locals check in with
 // their node leader over shared memory, leaders run a dissemination barrier
 // over the network, then leaders release their locals.
-func BuildBarrierTwoLevel(rank int, nodes []int) *Schedule {
+func buildBarrierTwoLevel(rank int, nodes []int) *Schedule {
 	s := &Schedule{}
 	size := len(nodes)
 	if size == 1 {
@@ -498,12 +647,12 @@ func BuildBarrierTwoLevel(rank int, nodes []int) *Schedule {
 
 	if rank != lead {
 		rd := s.round()
-		rd.Comm = append(rd.Comm, sendP(lead, nil))
+		rd.Comm = append(rd.Comm, sendP(lead, Ref{}))
 	} else if len(local) > 1 {
 		rd := s.round()
 		for _, r := range local {
 			if r != lead {
-				rd.Comm = append(rd.Comm, recvP(r, nil))
+				rd.Comm = append(rd.Comm, recvP(r, Ref{}))
 			}
 		}
 	}
@@ -514,38 +663,33 @@ func BuildBarrierTwoLevel(rank int, nodes []int) *Schedule {
 		for k := 1; k < m; k <<= 1 {
 			rd := s.round()
 			rd.Comm = append(rd.Comm,
-				sendP(leaders[(li+k)%m], nil),
-				recvP(leaders[(li-k+m)%m], nil))
+				sendP(leaders[(li+k)%m], Ref{}),
+				recvP(leaders[(li-k+m)%m], Ref{}))
 		}
 	}
 
 	if rank != lead {
 		rd := s.round()
-		rd.Comm = append(rd.Comm, recvP(lead, nil))
+		rd.Comm = append(rd.Comm, recvP(lead, Ref{}))
 	} else if len(local) > 1 {
 		rd := s.round()
 		for _, r := range local {
 			if r != lead {
-				rd.Comm = append(rd.Comm, sendP(r, nil))
+				rd.Comm = append(rd.Comm, sendP(r, Ref{}))
 			}
 		}
 	}
 	return s
 }
 
-// BuildBcastTwoLevel compiles a hierarchical broadcast: root feeds the
+// buildBcastTwoLevel compiles a hierarchical broadcast: root feeds the
 // per-node leaders with a binomial tree over the network, each leader then
-// broadcasts over shared memory inside its node.
-func BuildBcastTwoLevel(rank int, nodes []int, root int, data []byte) *Schedule {
-	return BuildBcastTwoLevelStriped(rank, nodes, root, data, Striping{})
-}
-
-// BuildBcastTwoLevelStriped is BuildBcastTwoLevel with the inter-node
-// (leader tree) sends dealt across rails — parallel tree edges out of one
-// leader ride different rails. The intra-node phase runs over shared memory
-// and is never striped. The zero Striping compiles the identical unstriped
+// broadcasts over shared memory inside its node. The inter-node (leader
+// tree) sends are dealt across rails per st — parallel tree edges out of
+// one leader ride different rails; the intra-node phase runs over shared
+// memory and is never striped. The zero Striping compiles the unstriped
 // schedule.
-func BuildBcastTwoLevelStriped(rank int, nodes []int, root int, data []byte, st Striping) *Schedule {
+func buildBcastTwoLevel(rank int, nodes []int, root int, data Ref, st Striping) *Schedule {
 	s := &Schedule{}
 	if len(nodes) == 1 {
 		return s
@@ -558,19 +702,13 @@ func BuildBcastTwoLevelStriped(rank int, nodes []int, root int, data []byte, st 
 	return s
 }
 
-// BuildAllreduceTwoLevel compiles a hierarchical allreduce: binomial reduce
+// buildAllreduceTwoLevel compiles a hierarchical allreduce: binomial reduce
 // to the node leader over shared memory, recursive-doubling allreduce among
 // leaders over the network, binomial broadcast of the result back over
-// shared memory. Commutative op only.
-func BuildAllreduceTwoLevel(rank int, nodes []int, x []float64, op Op) *Schedule {
-	return BuildAllreduceTwoLevelStriped(rank, nodes, x, op, Striping{})
-}
-
-// BuildAllreduceTwoLevelStriped is BuildAllreduceTwoLevel with the
-// inter-node (leader allreduce) sends dealt across rails; the intra-node
-// reduce and broadcast phases run over shared memory and are never striped.
-// The zero Striping compiles the identical unstriped schedule.
-func BuildAllreduceTwoLevelStriped(rank int, nodes []int, x []float64, op Op, st Striping) *Schedule {
+// shared memory. The inter-node (leader allreduce) sends are dealt across
+// rails per st; the intra-node phases run over shared memory and are never
+// striped. Commutative op only.
+func buildAllreduceTwoLevel(rank int, nodes []int, x Ref, st Striping) *Schedule {
 	s := &Schedule{}
 	if len(nodes) == 1 {
 		return s
@@ -578,9 +716,9 @@ func BuildAllreduceTwoLevelStriped(rank int, nodes []int, x []float64, op Op, st
 	leaders, byNode := leadersOf(nodes, -1)
 	local := byNode[nodes[rank]]
 	lead := leaderFor(nodes, byNode, -1, rank)
-	binomialReduce(s, sliceGroup(local), lead, rank, x, op)
+	binomialReduce(s, sliceGroup(local), lead, rank, x)
 	interLo := len(s.Rounds)
-	rdAllreduce(s, sliceGroup(leaders), rank, x, op)
+	rdAllreduce(s, sliceGroup(leaders), rank, x)
 	stampRails(s, interLo, st)
 	binomialBcastF64(s, sliceGroup(local), lead, rank, x)
 	return s

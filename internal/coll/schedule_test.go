@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// execSched runs rank-specific schedules over the in-memory fabric.
-func execSched(t *testing.T, n int, build func(rank int) *Schedule, tag int32) {
+// execSched runs rank-specific plans over the in-memory fabric.
+func execSched(t *testing.T, n int, build func(rank int) bound, tag int32) {
 	t.Helper()
 	runAll(t, n, func(p *peer) {
 		runSched(p, build(p.Rank()), tag)
@@ -45,16 +45,16 @@ func TestScheduleRoundShapes(t *testing.T) {
 			nodes[r] = r % 2 // two nodes
 		}
 		for rank := 0; rank < n; rank++ {
-			checkRoundShape(t, BuildBarrier(rank, n), fmt.Sprintf("barrier/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildBcast(rank, n, 0, data), fmt.Sprintf("bcast/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildReduce(rank, n, 0, x, OpSum), fmt.Sprintf("reduce/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllreduce(rank, n, x, OpSum), fmt.Sprintf("allreduce/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllgather(rank, n, data[:8], blocks(n)), fmt.Sprintf("allgather/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAlltoall(rank, n, blocks(n), blocks(n)), fmt.Sprintf("alltoall/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildGather(rank, n, 0, data[:8], blocks(n)), fmt.Sprintf("gather/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildBarrierTwoLevel(rank, nodes), fmt.Sprintf("barrier2l/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildBcastTwoLevel(rank, nodes, 0, data), fmt.Sprintf("bcast2l/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAllreduceTwoLevel(rank, nodes, x, OpSum), fmt.Sprintf("allreduce2l/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpBarrier, AlgoDissemination, Args{Rank: rank, Size: n}).s, fmt.Sprintf("barrier/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpBcast, AlgoBinomial, Args{Rank: rank, Size: n, Root: 0, Data: data}).s, fmt.Sprintf("bcast/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpReduce, AlgoBinomial, Args{Rank: rank, Size: n, Root: 0, X: x, Op: OpSum}).s, fmt.Sprintf("reduce/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpAllreduce, AlgoRecDoubling, Args{Rank: rank, Size: n, X: x, Op: OpSum}).s, fmt.Sprintf("allreduce/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpAllgather, AlgoRing, Args{Rank: rank, Size: n, Mine: data[:8], Out: blocks(n)}).s, fmt.Sprintf("allgather/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpAlltoall, AlgoPairwise, Args{Rank: rank, Size: n, Send: blocks(n), Recv: blocks(n)}).s, fmt.Sprintf("alltoall/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpGather, AlgoLinear, Args{Rank: rank, Size: n, Root: 0, Mine: data[:8], Out: blocks(n)}).s, fmt.Sprintf("gather/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpBarrier, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes}).s, fmt.Sprintf("barrier2l/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpBcast, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Root: 0, Data: data}).s, fmt.Sprintf("bcast2l/np%d/r%d", n, rank))
+			checkRoundShape(t, plan(OpAllreduce, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, X: x, Op: OpSum}).s, fmt.Sprintf("allreduce2l/np%d/r%d", n, rank))
 		}
 	}
 }
@@ -90,8 +90,8 @@ func TestTwoLevelBarrierFabric(t *testing.T) {
 		for pi, nodes := range testPlacements(n) {
 			nodes := nodes
 			t.Run(fmt.Sprintf("np%d/p%d", n, pi), func(t *testing.T) {
-				execSched(t, n, func(rank int) *Schedule {
-					return BuildBarrierTwoLevel(rank, nodes)
+				execSched(t, n, func(rank int) bound {
+					return plan(OpBarrier, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes})
 				}, 10)
 			})
 		}
@@ -116,8 +116,8 @@ func TestTwoLevelBcastFabric(t *testing.T) {
 							}
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
-						return BuildBcastTwoLevel(rank, nodes, root, bufs[rank])
+					execSched(t, n, func(rank int) bound {
+						return plan(OpBcast, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Root: root, Data: bufs[rank]})
 					}, 11)
 					for r := range bufs {
 						for i := range bufs[r] {
@@ -148,8 +148,8 @@ func TestTwoLevelAllreduceFabric(t *testing.T) {
 						vecs[r][i] = float64(r*10 + i)
 					}
 				}
-				execSched(t, n, func(rank int) *Schedule {
-					return BuildAllreduceTwoLevel(rank, nodes, vecs[rank], OpSum)
+				execSched(t, n, func(rank int) bound {
+					return plan(OpAllreduce, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, X: vecs[rank], Op: OpSum})
 				}, 12)
 				for i := 0; i < m; i++ {
 					want := 0.0
@@ -171,7 +171,7 @@ func TestTwoLevelAllreduceFabric(t *testing.T) {
 // dissemination barrier exchanges with one pair of peers per round, and a
 // non-power-of-two allreduce keeps its pre/main/post phases.
 func TestFlatBuildersMatchLegacySequence(t *testing.T) {
-	s := BuildBarrier(0, 8)
+	s := plan(OpBarrier, AlgoDissemination, Args{Rank: 0, Size: 8}).s
 	if len(s.Rounds) != 3 {
 		t.Fatalf("np8 barrier rounds = %d, want 3", len(s.Rounds))
 	}
@@ -181,7 +181,7 @@ func TestFlatBuildersMatchLegacySequence(t *testing.T) {
 		}
 	}
 	x := make([]float64, 2)
-	s = BuildAllreduce(3, 6, x, OpSum) // non-power-of-two: pre/main/post
+	s = plan(OpAllreduce, AlgoRecDoubling, Args{Rank: 3, Size: 6, X: x, Op: OpSum}).s // non-power-of-two: pre/main/post
 	if len(s.Rounds) < 3 {
 		t.Fatalf("np6 allreduce rounds = %d, want >= 3", len(s.Rounds))
 	}

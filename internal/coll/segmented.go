@@ -15,16 +15,16 @@ package coll
 //
 // Three builders live here:
 //
-//   - BuildBcastChain: the pipelined chain broadcast (the large-message
+//   - buildBcastChain: the pipelined chain broadcast (the large-message
 //     workhorse of Open MPI's tuned tables) — ranks form a chain in
 //     root-relative order and forward segment k downstream while receiving
 //     segment k+1, so the pipeline fills in p-1 segment times and then
 //     streams;
-//   - BuildBcastSegBinomial: the segmented binomial tree — segments flow
+//   - buildBcastSegBinomial: the segmented binomial tree — segments flow
 //     down the binomial tree back to back, with each interior node's
 //     receive of segment k+1 overlapped (posted in the same round) with its
 //     first forward of segment k;
-//   - BuildAllreduceSegRing: the segmented ring allreduce — a ring
+//   - buildAllreduceSegRing: the segmented ring allreduce — a ring
 //     reduce-scatter over per-rank windows followed by a ring allgather
 //     (prefixSums windows, as the vector builders use), each window moved
 //     in pipeline segments so the local reduction of one segment overlaps
@@ -50,26 +50,20 @@ func segBounds(n, seg int) []int {
 	return append(bounds, n)
 }
 
-// BuildBcastChain compiles the pipelined chain broadcast: ranks order
+// buildBcastChain compiles the pipelined chain broadcast: ranks order
 // themselves root, root+1, ..., root-1 and each forwards segment k to its
 // successor while receiving segment k+1 from its predecessor (one
 // send+recv round per segment once the pipe is full). The critical path
 // carries n·(1 + (p-2)/S) bytes instead of the binomial tree's n·log2(p),
 // which is why the chain wins for large payloads despite its p-1 latency
-// terms.
-func BuildBcastChain(rank, size, root int, data []byte, seg int) *Schedule {
-	return BuildBcastChainStriped(rank, size, root, data, seg, Striping{})
-}
-
-// BuildBcastChainStriped is BuildBcastChain with the chain's per-segment
-// forwards dealt across rails (see stripe.go); the zero Striping compiles
-// the identical unstriped schedule.
-func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Striping) *Schedule {
+// terms. The per-segment forwards are dealt across rails per st (see
+// stripe.go); the zero Striping compiles the unstriped schedule.
+func buildBcastChain(rank, size, root int, data Ref, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	segs := segBounds(len(data), seg)
+	segs := segBounds(data.Len(), seg)
 	S := len(segs) - 1
 	vr := (rank - root + size) % size
 	prev := (rank - 1 + size) % size
@@ -77,10 +71,10 @@ func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Strip
 	for k := 0; k <= S; k++ {
 		rd := Round{}
 		if vr < size-1 && k >= 1 {
-			rd.Comm = append(rd.Comm, sendP(next, data[segs[k-1]:segs[k]]))
+			rd.Comm = append(rd.Comm, sendP(next, data.Sub(segs[k-1], segs[k])))
 		}
 		if vr > 0 && k < S {
-			rd.Comm = append(rd.Comm, recvP(prev, data[segs[k]:segs[k+1]]))
+			rd.Comm = append(rd.Comm, recvP(prev, data.Sub(segs[k], segs[k+1])))
 		}
 		if len(rd.Comm) > 0 {
 			s.Rounds = append(s.Rounds, rd)
@@ -90,29 +84,25 @@ func BuildBcastChainStriped(rank, size, root int, data []byte, seg int, st Strip
 	return s
 }
 
-// BuildBcastSegBinomial compiles the segmented binomial broadcast: the
+// buildBcastSegBinomial compiles the segmented binomial broadcast: the
 // usual binomial tree (over root-relative ranks), but segments stream down
 // it back to back — an interior node forwards segment k to its subtrees
 // while already receiving segment k+1 from its parent (the receive is
 // posted in the first child round, together with that send). Latency stays
 // logarithmic like the monolithic binomial tree, but a node's children stop
-// waiting for the whole payload to land before the forwarding starts.
-func BuildBcastSegBinomial(rank, size, root int, data []byte, seg int) *Schedule {
-	return BuildBcastSegBinomialStriped(rank, size, root, data, seg, Striping{})
-}
-
-// BuildBcastSegBinomialStriped is BuildBcastSegBinomial with each node's
-// per-segment forwards dealt across rails — consecutive child sends ride
-// different rails, so an interior node's fan-out streams in parallel over
-// the stack. The zero Striping compiles the identical unstriped schedule.
-func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st Striping) *Schedule {
+// waiting for the whole payload to land before the forwarding starts. Each
+// node's per-segment forwards are dealt across rails per st — consecutive
+// child sends ride different rails, so an interior node's fan-out streams
+// in parallel over the stack; the zero Striping compiles the unstriped
+// schedule.
+func buildBcastSegBinomial(rank, size, root int, data Ref, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	segs := segBounds(len(data), seg)
+	segs := segBounds(data.Len(), seg)
 	S := len(segs) - 1
-	segSl := func(k int) []byte { return data[segs[k]:segs[k+1]] }
+	segSl := func(k int) Ref { return data.Sub(segs[k], segs[k+1]) }
 
 	vr := (rank - root + size) % size
 	parent := -1
@@ -156,7 +146,7 @@ func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st
 	return s
 }
 
-// BuildAllreduceSegRing compiles the segmented ring allreduce: the vector
+// buildAllreduceSegRing compiles the segmented ring allreduce: the vector
 // is split into p near-uniform windows (prefixSums, as the reduce-scatter
 // builders use), a p-1 step ring reduce-scatter leaves rank r owning the
 // fully reduced window (r+1) mod p, and a p-1 step ring allgather streams
@@ -164,20 +154,15 @@ func BuildBcastSegBinomialStriped(rank, size, root int, data []byte, seg int, st
 // pipeline segments of at most seg bytes, so the elementwise reduction of
 // segment l overlaps the transfer of segment l+1 on the neighbouring rank.
 // Bandwidth-optimal (~2n elements per rank, like Rabenseifner) at any rank
-// count, power of two or not. Commutative op only.
-func BuildAllreduceSegRing(rank, size int, x []float64, op Op, seg int) *Schedule {
-	return BuildAllreduceSegRingStriped(rank, size, x, op, seg, Striping{})
-}
-
-// BuildAllreduceSegRingStriped is BuildAllreduceSegRing with the ring's
-// per-sub-segment sends dealt across rails; the zero Striping compiles the
-// identical unstriped schedule.
-func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, st Striping) *Schedule {
+// count, power of two or not. The per-sub-segment sends are dealt across
+// rails per st; the zero Striping compiles the unstriped schedule.
+// Commutative op only.
+func buildAllreduceSegRing(rank, size int, x Ref, seg int, st Striping) *Schedule {
 	s := &Schedule{}
 	if size == 1 {
 		return s
 	}
-	n := len(x)
+	n := x.Len()
 	counts := make([]int, size)
 	for r := range counts {
 		counts[r] = n / size
@@ -209,7 +194,7 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 	// The near-uniform split yields sub-segments of floor(c/L) or ceil(c/L)
 	// elements, and counts[0] is the largest window, so the scratch needs
 	// exactly ceil(counts[0]/L) elements.
-	rbuf := make([]byte, 8*((counts[0]+L-1)/L))
+	rbuf := s.reserve(8 * ((counts[0] + L - 1) / L))
 	right := (rank + 1) % size
 	left := (rank - 1 + size) % size
 
@@ -222,10 +207,10 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 			}
 			rd := s.round()
 			if sHi > sLo {
-				rd.Comm = append(rd.Comm, sendF64(right, x[sLo:sHi]))
+				rd.Comm = append(rd.Comm, sendF64(right, x.Sub(sLo, sHi)))
 			}
 			if rHi > rLo {
-				rd.Comm = append(rd.Comm, recvP(left, rbuf[:8*(rHi-rLo)]))
+				rd.Comm = append(rd.Comm, recvP(left, rbuf.Sub(0, 8*(rHi-rLo))))
 				rd.Local = append(rd.Local, land(rLo, rHi))
 			}
 		}
@@ -237,14 +222,14 @@ func BuildAllreduceSegRingStriped(rank, size int, x []float64, op Op, seg int, s
 	for t := 0; t < size-1; t++ {
 		ws := ((rank-t)%size + size) % size
 		wr := ((rank-t-1)%size + size) % size
-		exchange(ws, wr, func(lo, hi int) Prim { return reduceP(x[lo:hi], rbuf, op) })
+		exchange(ws, wr, func(lo, hi int) Prim { return reduceP(x.Sub(lo, hi), rbuf) })
 	}
 	// Phase 2: ring allgather. Step t streams window rank+1-t onward and
 	// lands the incoming reduced window rank-t.
 	for t := 0; t < size-1; t++ {
 		ws := ((rank+1-t)%size + size) % size
 		wr := ((rank-t)%size + size) % size
-		exchange(ws, wr, func(lo, hi int) Prim { return decodeP(x[lo:hi], rbuf) })
+		exchange(ws, wr, func(lo, hi int) Prim { return decodeP(x.Sub(lo, hi), rbuf) })
 	}
 	stampRails(s, 0, st)
 	return s

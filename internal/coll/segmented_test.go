@@ -45,14 +45,14 @@ func TestSegmentedRoundShapes(t *testing.T) {
 		for _, seg := range segTestSegs {
 			for root := 0; root < n; root += 3 {
 				for rank := 0; rank < n; rank++ {
-					checkRoundShape(t, BuildBcastChain(rank, n, root, data, seg),
+					checkRoundShape(t, plan(OpBcast, AlgoChain, Args{Rank: rank, Size: n, Root: root, Data: data, Seg: seg}).s,
 						fmt.Sprintf("chain/np%d/root%d/seg%d/r%d", n, root, seg, rank))
-					checkRoundShape(t, BuildBcastSegBinomial(rank, n, root, data, seg),
+					checkRoundShape(t, plan(OpBcast, AlgoSegBinomial, Args{Rank: rank, Size: n, Root: root, Data: data, Seg: seg}).s,
 						fmt.Sprintf("segbinomial/np%d/root%d/seg%d/r%d", n, root, seg, rank))
 				}
 			}
 			for rank := 0; rank < n; rank++ {
-				checkRoundShape(t, BuildAllreduceSegRing(rank, n, x, OpSum, seg),
+				checkRoundShape(t, plan(OpAllreduce, AlgoSegRing, Args{Rank: rank, Size: n, X: x, Op: OpSum, Seg: seg}).s,
 					fmt.Sprintf("segring/np%d/seg%d/r%d", n, seg, rank))
 			}
 		}
@@ -62,7 +62,8 @@ func TestSegmentedRoundShapes(t *testing.T) {
 // TestBcastChainFabric / TestBcastSegBinomialFabric: payload correctness
 // over the in-memory fabric at explicit (non-default) segment sizes — the
 // conformance harness only exercises the default segment size.
-func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int, data []byte, seg int) *Schedule) {
+func testSegBcastFabric(t *testing.T, algo Algo) {
+	name := algo.String()
 	for _, n := range testNPs {
 		for _, seg := range segTestSegs {
 			for root := 0; root < n; root += 5 {
@@ -78,8 +79,8 @@ func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int,
 							}
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
-						return build(rank, n, root, bufs[rank], seg)
+					execSched(t, n, func(rank int) bound {
+						return plan(OpBcast, algo, Args{Rank: rank, Size: n, Root: root, Data: bufs[rank], Seg: seg})
 					}, 42)
 					for r := range bufs {
 						for i := range bufs[r] {
@@ -96,11 +97,11 @@ func testSegBcastFabric(t *testing.T, name string, build func(rank, n, root int,
 }
 
 func TestBcastChainFabric(t *testing.T) {
-	testSegBcastFabric(t, "chain", BuildBcastChain)
+	testSegBcastFabric(t, AlgoChain)
 }
 
 func TestBcastSegBinomialFabric(t *testing.T) {
-	testSegBcastFabric(t, "segmented-binomial", BuildBcastSegBinomial)
+	testSegBcastFabric(t, AlgoSegBinomial)
 }
 
 // TestAllreduceSegRingFabric: the segmented ring allreduce produces the
@@ -120,8 +121,8 @@ func TestAllreduceSegRingFabric(t *testing.T) {
 							vecs[r][i] = float64(r*100 + i)
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
-						return BuildAllreduceSegRing(rank, n, vecs[rank], OpSum, seg)
+					execSched(t, n, func(rank int) bound {
+						return plan(OpAllreduce, AlgoSegRing, Args{Rank: rank, Size: n, X: vecs[rank], Op: OpSum, Seg: seg})
 					}, 43)
 					for i := 0; i < m; i++ {
 						want := 0.0

@@ -69,10 +69,10 @@ const stripeMinBytes = 8 << 10
 
 // sendBytes is a send prim's payload size without materializing it.
 func sendBytes(pr *Prim) int {
-	if pr.AccF64 != nil {
-		return 8 * len(pr.AccF64)
+	if pr.AccF64.f64() {
+		return 8 * pr.AccF64.Len()
 	}
-	return len(pr.Data)
+	return pr.Data.Len()
 }
 
 // stampRails stamps the send prims of rounds [lo, len) with the stripe hint

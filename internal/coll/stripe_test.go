@@ -34,10 +34,10 @@ func TestStampRailsThresholdAndWidth(t *testing.T) {
 	s := &Schedule{}
 	rd := s.round()
 	rd.Comm = append(rd.Comm,
-		sendP(1, make([]byte, stripeMinBytes)),
-		sendP(2, make([]byte, stripeMinBytes-1)),
-		recvP(3, make([]byte, 1<<20)),
-		sendF64(4, make([]float64, stripeMinBytes/8)),
+		sendP(1, s.reserve(stripeMinBytes)),
+		sendP(2, s.reserve(stripeMinBytes-1)),
+		recvP(3, s.reserve(1<<20)),
+		sendF64(4, whole(slotX, stripeMinBytes/8)),
 	)
 	stampRails(s, 0, Striping{Width: 2, Rails: twoRails()})
 	want := []int{-2, 0, 0, -2}
@@ -51,7 +51,7 @@ func TestStampRailsThresholdAndWidth(t *testing.T) {
 func TestStampRailsZeroStripingIsNoOp(t *testing.T) {
 	s := &Schedule{}
 	rd := s.round()
-	rd.Comm = append(rd.Comm, sendP(1, make([]byte, 1<<20)))
+	rd.Comm = append(rd.Comm, sendP(1, s.reserve(1<<20)))
 	stampRails(s, 0, Striping{})
 	if s.Rounds[0].Comm[0].Rail != 0 {
 		t.Fatal("zero striping must leave every hint at 0")
@@ -64,7 +64,7 @@ func TestStampRailsRespectsPhaseStart(t *testing.T) {
 	s := &Schedule{}
 	for i := 0; i < 3; i++ {
 		rd := s.round()
-		rd.Comm = append(rd.Comm, sendP(1, make([]byte, 1<<20)))
+		rd.Comm = append(rd.Comm, sendP(1, s.reserve(1<<20)))
 	}
 	stampRails(s, 2, Striping{Width: 2, Rails: twoRails()})
 	for i, want := range []int{0, 0, -2} {
@@ -79,7 +79,7 @@ func TestTwoLevelStripedStampsOnlyInterNodePhase(t *testing.T) {
 	// stripe, its intra-node fan-out must not (shared memory has no rails).
 	nodes := []int{0, 0, 1, 1}
 	data := make([]byte, 64<<10)
-	s := BuildBcastTwoLevelStriped(0, nodes, 0, data, Striping{Width: 2, Rails: twoRails()})
+	s := plan(OpBcast, AlgoTwoLevel, Args{Rank: 0, Size: len(nodes), Nodes: nodes, Root: 0, Data: data, Stripe: 2, Rails: twoRails()}).s
 	var inter, intra int
 	for _, rd := range s.Rounds {
 		for _, pr := range rd.Comm {
@@ -162,14 +162,14 @@ func TestKeyForStripeShape(t *testing.T) {
 
 func TestStripedScheduleSameDataMovement(t *testing.T) {
 	// A striped chain bcast must be the unstriped schedule plus rail hints:
-	// same rounds, same prims, same payload bytes — only Rail differs.
+	// same rounds, same prims, same payload regions — only Rail differs.
 	data := make([]byte, 256<<10)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	base := Build(Key{Op: OpBcast, Algo: AlgoChain}, Args{Rank: 1, Size: 4, Root: 0, Data: cpb(data)})
+	base := Build(Key{Op: OpBcast, Algo: AlgoChain}, Args{Rank: 1, Size: 4, Root: 0, Data: data})
 	striped := Build(Key{Op: OpBcast, Algo: AlgoChain},
-		Args{Rank: 1, Size: 4, Root: 0, Data: cpb(data), Stripe: 2, Rails: twoRails()})
+		Args{Rank: 1, Size: 4, Root: 0, Data: data, Stripe: 2, Rails: twoRails()})
 	if len(base.Rounds) != len(striped.Rounds) {
 		t.Fatalf("round counts differ: %d vs %d", len(base.Rounds), len(striped.Rounds))
 	}
@@ -180,12 +180,13 @@ func TestStripedScheduleSameDataMovement(t *testing.T) {
 			t.Fatalf("round %d: prim counts differ", ri)
 		}
 		for i := range b {
-			if b[i].Kind != st[i].Kind || b[i].Peer != st[i].Peer ||
-				len(SendPayload(&b[i])) != len(SendPayload(&st[i])) {
-				t.Fatalf("round %d prim %d: data movement differs", ri, i)
-			}
 			if st[i].Rail != 0 {
 				stamped++
+			}
+			unstamped := st[i]
+			unstamped.Rail = 0
+			if b[i] != unstamped {
+				t.Fatalf("round %d prim %d: data movement differs", ri, i)
 			}
 		}
 	}

@@ -47,14 +47,14 @@ func prefixSums(counts []int) []int {
 	return win
 }
 
-// BuildAlltoallv compiles the pairwise-exchange alltoallv over per-rank
+// buildAlltoallv compiles the pairwise-exchange alltoallv over per-rank
 // block views (XOR partner order when xor is set and size is a power of two,
 // rotated shifts otherwise). Zero-length transfers are elided: both ends of
 // a transfer see the same count (my send to p is p's receive from me), so
 // the elision is symmetric and the schedules stay matched.
-func BuildAlltoallv(rank, size int, send, recv [][]byte, xor bool) *Schedule {
+func buildAlltoallv(rank, size int, send, recv []Ref, xor bool) *Schedule {
 	s := &Schedule{}
-	if len(send[rank]) > 0 {
+	if send[rank].Len() > 0 {
 		rd := s.round()
 		rd.Local = append(rd.Local, copyP(recv[rank], send[rank]))
 	}
@@ -70,7 +70,7 @@ func BuildAlltoallv(rank, size int, send, recv [][]byte, xor bool) *Schedule {
 			dst = rank ^ i
 			src = dst
 		}
-		doSend, doRecv := len(send[dst]) > 0, len(recv[src]) > 0
+		doSend, doRecv := send[dst].Len() > 0, recv[src].Len() > 0
 		if !doSend && !doRecv {
 			continue
 		}
@@ -92,7 +92,7 @@ func BuildAlltoallv(rank, size int, send, recv [][]byte, xor bool) *Schedule {
 // current window the partner keeps and folds the received half in; partners
 // share identical window histories because they only differ in the current
 // mask bit. rbuf must hold the largest incoming half. Commutative op only.
-func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, rbuf []byte, op Op) {
+func halvingReduceScatter(s *Schedule, rank, size int, x Ref, win []int, rbuf Ref) {
 	rlo, rhi := 0, size
 	for mask := size >> 1; mask >= 1; mask >>= 1 {
 		partner := rank ^ mask
@@ -104,9 +104,9 @@ func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, r
 		}
 		rd := s.round()
 		rd.Comm = append(rd.Comm,
-			sendF64(partner, x[sendLo:sendHi]),
-			recvP(partner, rbuf[:8*(keepHi-keepLo)]))
-		rd.Local = append(rd.Local, reduceP(x[keepLo:keepHi], rbuf, op))
+			sendF64(partner, x.Sub(sendLo, sendHi)),
+			recvP(partner, rbuf.Sub(0, 8*(keepHi-keepLo))))
+		rd.Local = append(rd.Local, reduceP(x.Sub(keepLo, keepHi), rbuf))
 		if rank&mask != 0 {
 			rlo = rmid
 		} else {
@@ -115,46 +115,46 @@ func halvingReduceScatter(s *Schedule, rank, size int, x []float64, win []int, r
 	}
 }
 
-// BuildReduceScatterHalving compiles the recursive-halving reduce-scatter:
+// buildReduceScatterHalving compiles the recursive-halving reduce-scatter:
 // x (length sum(counts), clobbered as scratch) is reduced elementwise across
 // ranks and rank r's segment of counts[r] elements lands in recv. log p
 // rounds for power-of-two sizes; anything else falls back to the pairwise
 // algorithm. Commutative op only.
-func BuildReduceScatterHalving(rank, size int, x, recv []float64, counts []int, op Op) *Schedule {
+func buildReduceScatterHalving(rank, size int, x, recv Ref, counts []int) *Schedule {
 	if size&(size-1) != 0 {
-		return BuildReduceScatterPairwise(rank, size, x, recv, counts, op)
+		return buildReduceScatterPairwise(rank, size, x, recv, counts)
 	}
 	s := &Schedule{}
 	win := prefixSums(counts)
 	if size == 1 {
 		rd := s.round()
-		rd.Local = append(rd.Local, copyF64P(recv, x[:counts[0]]))
+		rd.Local = append(rd.Local, copyF64P(recv, x.Sub(0, counts[0])))
 		return s
 	}
 	// Irregular boundaries can put almost the whole vector in one half, so
 	// the scratch covers the full length.
-	rbuf := make([]byte, 8*win[size])
-	halvingReduceScatter(s, rank, size, x, win, rbuf, op)
+	rbuf := s.reserve(8 * win[size])
+	halvingReduceScatter(s, rank, size, x, win, rbuf)
 	rd := s.round()
-	rd.Local = append(rd.Local, copyF64P(recv, x[win[rank]:win[rank+1]]))
+	rd.Local = append(rd.Local, copyF64P(recv, x.Sub(win[rank], win[rank+1])))
 	return s
 }
 
-// BuildReduceScatterPairwise compiles the rotated pairwise reduce-scatter
+// buildReduceScatterPairwise compiles the rotated pairwise reduce-scatter
 // (any size): recv starts as the rank's own segment of x, then step i sends
 // the segment owned by rank+i and folds in the segment received from
 // rank-i. p-1 rounds moving ~sum(counts) elements per rank; x is read-only.
 // Zero-length segments are elided symmetrically (a segment's length is its
 // owner's count, which both ends know). Commutative op only.
-func BuildReduceScatterPairwise(rank, size int, x, recv []float64, counts []int, op Op) *Schedule {
+func buildReduceScatterPairwise(rank, size int, x, recv Ref, counts []int) *Schedule {
 	s := &Schedule{}
 	win := prefixSums(counts)
 	rd := s.round()
-	rd.Local = append(rd.Local, copyF64P(recv, x[win[rank]:win[rank+1]]))
+	rd.Local = append(rd.Local, copyF64P(recv, x.Sub(win[rank], win[rank+1])))
 	if size == 1 {
 		return s
 	}
-	rbuf := make([]byte, 8*counts[rank])
+	rbuf := s.reserve(8 * counts[rank])
 	for i := 1; i < size; i++ {
 		dst := (rank + i) % size
 		src := (rank - i + size) % size
@@ -164,11 +164,11 @@ func BuildReduceScatterPairwise(rank, size int, x, recv []float64, counts []int,
 		}
 		rd := s.round()
 		if doSend {
-			rd.Comm = append(rd.Comm, sendF64(dst, x[win[dst]:win[dst+1]]))
+			rd.Comm = append(rd.Comm, sendF64(dst, x.Sub(win[dst], win[dst+1])))
 		}
 		if doRecv {
 			rd.Comm = append(rd.Comm, recvP(src, rbuf))
-			rd.Local = append(rd.Local, reduceP(recv, rbuf, op))
+			rd.Local = append(rd.Local, reduceP(recv, rbuf))
 		}
 	}
 	return s

@@ -70,8 +70,8 @@ func TestAlltoallvMatchesReference(t *testing.T) {
 							recv[r][d] = make([]byte, m[d][r])
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
-						return BuildAlltoallv(rank, n, send[rank], recv[rank], xor)
+					execSched(t, n, func(rank int) bound {
+						return plan(OpAlltoallv, alltoallvAlgo(xor), Args{Rank: rank, Size: n, Send: send[rank], Recv: recv[rank]})
 					}, 30)
 					for r := 0; r < n; r++ {
 						for s := 0; s < n; s++ {
@@ -116,8 +116,8 @@ func TestAlltoallvExtremeDistributions(t *testing.T) {
 					recv[r][d] = make([]byte, m[d][r])
 				}
 			}
-			execSched(t, n, func(rank int) *Schedule {
-				return BuildAlltoallv(rank, n, send[rank], recv[rank], true)
+			execSched(t, n, func(rank int) bound {
+				return plan(OpAlltoallv, AlgoPairwise, Args{Rank: rank, Size: n, Send: send[rank], Recv: recv[rank]})
 			}, 31)
 			for r := 0; r < n; r++ {
 				for s := 0; s < n; s++ {
@@ -154,7 +154,7 @@ func TestPropertyAlltoallvRoutesAllBlocks(t *testing.T) {
 		}
 		ok := true
 		runAll(t, n, func(p *peer) {
-			runSched(p, BuildAlltoallv(p.Rank(), n, send[p.Rank()], recv[p.Rank()], seed%2 == 0), 32)
+			runSched(p, plan(OpAlltoallv, alltoallvAlgo(seed%2 == 0), Args{Rank: p.Rank(), Size: n, Send: send[p.Rank()], Recv: recv[p.Rank()]}), 32)
 		})
 		for r := 0; r < n && ok; r++ {
 			for s := 0; s < n && ok; s++ {
@@ -174,19 +174,19 @@ func TestAllgathervIrregularAllAlgos(t *testing.T) {
 	for _, n := range testNPs {
 		for seed := int64(0); seed < 2; seed++ {
 			counts := randCountMatrix(seed, n, 11)[0] // one global vector
-			algos := map[string]func(rank int, mine []byte, out [][]byte) *Schedule{
-				"ring": func(rank int, mine []byte, out [][]byte) *Schedule {
-					return BuildAllgather(rank, n, mine, out)
+			algos := map[string]func(rank int, mine []byte, out [][]byte) bound{
+				"ring": func(rank int, mine []byte, out [][]byte) bound {
+					return plan(OpAllgather, AlgoRing, Args{Rank: rank, Size: n, Mine: mine, Out: out})
 				},
-				"bruck": func(rank int, mine []byte, out [][]byte) *Schedule {
-					return BuildAllgatherBruck(rank, n, mine, out)
+				"bruck": func(rank int, mine []byte, out [][]byte) bound {
+					return plan(OpAllgather, AlgoBruck, Args{Rank: rank, Size: n, Mine: mine, Out: out})
 				},
 			}
 			for _, nodes := range testPlacements(n) {
 				nodes := nodes
 				algos[fmt.Sprintf("two-level/%v", nodes[:min(len(nodes), 4)])] =
-					func(rank int, mine []byte, out [][]byte) *Schedule {
-						return BuildAllgatherTwoLevel(rank, nodes, mine, out)
+					func(rank int, mine []byte, out [][]byte) bound {
+						return plan(OpAllgather, AlgoTwoLevel, Args{Rank: rank, Size: len(nodes), Nodes: nodes, Mine: mine, Out: out})
 					}
 			}
 			for name, build := range algos {
@@ -202,7 +202,7 @@ func TestAllgathervIrregularAllAlgos(t *testing.T) {
 							outs[r][j] = make([]byte, counts[j])
 						}
 					}
-					execSched(t, n, func(rank int) *Schedule {
+					execSched(t, n, func(rank int) bound {
 						return build(rank, mines[rank], outs[rank])
 					}, 33)
 					for r := 0; r < n; r++ {
@@ -243,11 +243,11 @@ func TestReduceScatterMatchesSerialSum(t *testing.T) {
 						}
 						recvs[r] = make([]float64, counts[r])
 					}
-					execSched(t, n, func(rank int) *Schedule {
+					execSched(t, n, func(rank int) bound {
 						if algo == "halving" {
-							return BuildReduceScatterHalving(rank, n, xs[rank], recvs[rank], counts, OpSum)
+							return plan(OpReduceScatter, AlgoRecHalving, Args{Rank: rank, Size: n, X: xs[rank], RecvF64: recvs[rank], RCounts: counts, Op: OpSum})
 						}
-						return BuildReduceScatterPairwise(rank, n, xs[rank], recvs[rank], counts, OpSum)
+						return plan(OpReduceScatter, AlgoPairwise, Args{Rank: rank, Size: n, X: xs[rank], RecvF64: recvs[rank], RCounts: counts, Op: OpSum})
 					}, 34)
 					off := 0
 					for r := 0; r < n; r++ {
@@ -282,11 +282,11 @@ func TestGathervScattervIrregular(t *testing.T) {
 					fillBlock(mines[r], r, root)
 					out[r] = make([]byte, counts[r])
 				}
-				execSched(t, n, func(rank int) *Schedule {
+				execSched(t, n, func(rank int) bound {
 					if rank == root {
-						return BuildGather(rank, n, root, mines[rank], out)
+						return plan(OpGather, AlgoLinear, Args{Rank: rank, Size: n, Root: root, Mine: mines[rank], Out: out})
 					}
-					return BuildGather(rank, n, root, mines[rank], nil)
+					return plan(OpGather, AlgoLinear, Args{Rank: rank, Size: n, Root: root, Mine: mines[rank]})
 				}, 35)
 				for r := 0; r < n; r++ {
 					checkBlock(t, out[r], r, root, "gatherv")
@@ -300,11 +300,11 @@ func TestGathervScattervIrregular(t *testing.T) {
 					fillBlock(blocks[r], root, r)
 					bufs[r] = make([]byte, counts[r])
 				}
-				execSched(t, n, func(rank int) *Schedule {
+				execSched(t, n, func(rank int) bound {
 					if rank == root {
-						return BuildScatter(rank, n, root, blocks, bufs[rank])
+						return plan(OpScatter, AlgoLinear, Args{Rank: rank, Size: n, Root: root, Send: blocks, Mine: bufs[rank]})
 					}
-					return BuildScatter(rank, n, root, nil, bufs[rank])
+					return plan(OpScatter, AlgoLinear, Args{Rank: rank, Size: n, Root: root, Mine: bufs[rank]})
 				}, 36)
 				for r := 0; r < n; r++ {
 					checkBlock(t, bufs[r], root, r, "scatterv")
@@ -331,13 +331,13 @@ func TestVectorRoundShapes(t *testing.T) {
 				recv[d] = make([]byte, m[d][rank])
 			}
 			rcv := make([]float64, counts[rank])
-			checkRoundShape(t, BuildAlltoallv(rank, n, send, recv, true),
+			checkRoundShape(t, plan(OpAlltoallv, AlgoPairwise, Args{Rank: rank, Size: n, Send: send, Recv: recv}).s,
 				fmt.Sprintf("alltoallv-xor/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildAlltoallv(rank, n, send, recv, false),
+			checkRoundShape(t, plan(OpAlltoallv, AlgoRing, Args{Rank: rank, Size: n, Send: send, Recv: recv}).s,
 				fmt.Sprintf("alltoallv-rot/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildReduceScatterHalving(rank, n, x, rcv, counts, OpSum),
+			checkRoundShape(t, plan(OpReduceScatter, AlgoRecHalving, Args{Rank: rank, Size: n, X: x, RecvF64: rcv, RCounts: counts, Op: OpSum}).s,
 				fmt.Sprintf("rs-halving/np%d/r%d", n, rank))
-			checkRoundShape(t, BuildReduceScatterPairwise(rank, n, x, rcv, counts, OpSum),
+			checkRoundShape(t, plan(OpReduceScatter, AlgoPairwise, Args{Rank: rank, Size: n, X: x, RecvF64: rcv, RCounts: counts, Op: OpSum}).s,
 				fmt.Sprintf("rs-pairwise/np%d/r%d", n, rank))
 		}
 	}
@@ -407,4 +407,13 @@ func TestKeyForForcedTwoLevelWithoutNodes(t *testing.T) {
 	if key := KeyFor(tun, OpBcast, b, false); key.Algo == AlgoTwoLevel {
 		t.Fatalf("forced two-level bcast without a node map selected %s", key.Algo)
 	}
+}
+
+// alltoallvAlgo is the registered alltoallv algorithm for an XOR (true) or
+// rotated (false) partner order.
+func alltoallvAlgo(xor bool) Algo {
+	if xor {
+		return AlgoPairwise
+	}
+	return AlgoRing
 }

@@ -104,7 +104,7 @@ func IS() Kernel {
 				}
 				// Key redistribution: irregular counts, compiled by the
 				// engine's alltoallv builder. The counts repeat across
-				// iterations, so the schedule compiles once and rebinds.
+				// iterations, so the schedule compiles once and every call binds it.
 				c.AlltoallvBytes(send, recv)
 				// Class-size exchange volume rides on an engine alltoall
 				// whose blocks alias the shared workspace buffers, keeping

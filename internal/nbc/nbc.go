@@ -113,15 +113,15 @@ func (e *Engine) Completed() int64 { return e.completed.Value() }
 // BGRounds returns the number of rounds issued from deferred progress tasks.
 func (e *Engine) BGRounds() int64 { return e.bgRounds.Value() }
 
-// Op is one in-flight nonblocking collective. Completed ops return to the
-// engine free list; a holder that may outlive completion (e.g. an MPI
-// request) captures Gen() at start and polls DoneGen, which stays correct
-// across recycling.
+// Op is one in-flight collective: an execution of a shared plan through
+// the op's own binding. Completed ops return to the engine free list; a
+// holder that may outlive completion (e.g. an MPI request) captures Gen()
+// at start and polls DoneGen, which stays correct across recycling.
 type Op struct {
-	eng    *Engine
-	sched  *coll.Schedule
-	seq    int32
-	onDone func()
+	coll.Binding
+	eng   *Engine
+	sched *coll.Schedule
+	seq   int32
 
 	// gen counts acquisitions of this Op struct: bumped in getOp, never in
 	// putOp. A recycled op therefore reads done=true to stale holders until
@@ -176,10 +176,11 @@ func (e *Engine) getOp() *Op {
 }
 
 // putOp returns a completed op to the free list. done stays true (and gen
-// unbumped) so stale holders keep reading completion correctly.
+// unbumped) so stale holders keep reading completion correctly. The
+// binding was released at completion, so a pooled op pins no caller
+// buffer.
 func (e *Engine) putOp(op *Op) {
 	op.sched = nil
-	op.onDone = nil
 	op.name = ""
 	e.free = append(e.free, op)
 }
@@ -191,30 +192,24 @@ func (op *Op) Gen() uint64 { return op.gen }
 // generation mismatch means the op was recycled — that life is over.
 func (op *Op) DoneGen(gen uint64) bool { return op.gen != gen || op.done }
 
-// Start begins executing s and returns its handle. Round 0 is issued on the
-// calling proc (charging the caller the per-operation software costs, as a
-// real MPI_I* call would); later rounds are driven by the progress engine.
-// An empty schedule (single-rank collective) completes immediately.
-func (e *Engine) Start(proc *vtime.Proc, s *coll.Schedule) *Op {
-	return e.StartDone(proc, s, nil)
-}
-
-// StartDone is Start with a completion callback, invoked exactly once when
-// the op completes — possibly synchronously, before StartDone returns. The
-// schedule cache uses it to release a persistent schedule for rebinding.
-func (e *Engine) StartDone(proc *vtime.Proc, s *coll.Schedule, onDone func()) *Op {
-	op := e.begin(s, onDone)
+// Start begins executing plan s over a's buffers and returns its handle.
+// Round 0 is issued on the calling proc (charging the caller the
+// per-operation software costs, as a real MPI_I* call would); later rounds
+// are driven by the progress engine. An empty schedule (single-rank
+// collective) completes immediately.
+func (e *Engine) Start(proc *vtime.Proc, s *coll.Schedule, a coll.Args) *Op {
+	op := e.begin(s, a)
 	op.issueRounds(proc)
 	return op
 }
 
-// Run executes s to completion on the calling proc — the blocking
-// collectives' executor. The caller posts each whole round, blocks in the
-// progress manager until the round's transfers complete, runs its local
-// prims and issues the next round itself; nothing is deferred to the
-// progress engine. onDone runs once at completion, as for StartDone.
-func (e *Engine) Run(proc *vtime.Proc, s *coll.Schedule, onDone func()) {
-	op := e.begin(s, onDone)
+// Run executes plan s over a's buffers to completion on the calling proc —
+// the blocking collectives' executor. The caller posts each whole round,
+// blocks in the progress manager until the round's transfers complete, runs
+// its local prims and issues the next round itself; nothing is deferred to
+// the progress engine.
+func (e *Engine) Run(proc *vtime.Proc, s *coll.Schedule, a coll.Args) {
+	op := e.begin(s, a)
 	op.caller = true
 	for op.issueRounds(proc); !op.done; op.issueRounds(proc) {
 		e.mgr.WaitUntil(proc, op.roundDone)
@@ -222,10 +217,12 @@ func (e *Engine) Run(proc *vtime.Proc, s *coll.Schedule, onDone func()) {
 	}
 }
 
-// begin acquires an op for s and stamps its sequence number and trace span.
-func (e *Engine) begin(s *coll.Schedule, onDone func()) *Op {
+// begin acquires an op for s, binds it to a's buffers and stamps its
+// sequence number and trace span.
+func (e *Engine) begin(s *coll.Schedule, a coll.Args) *Op {
 	op := e.getOp()
-	op.sched, op.seq, op.onDone = s, e.nextSeq&0x7fffffff, onDone
+	op.sched, op.seq = s, e.nextSeq&0x7fffffff
+	op.Bind(s, a)
 	e.nextSeq++
 	e.started.Inc()
 	if e.rec.Enabled() {
@@ -266,9 +263,9 @@ func (op *Op) issueRounds(proc *vtime.Proc) {
 			op.pending++
 			var r Req
 			if pr.Kind == coll.PrimSend {
-				r = op.eng.tr.Isend(proc, pr.Peer, tag, coll.SendPayload(pr), pr.Rail)
+				r = op.eng.tr.Isend(proc, pr.Peer, tag, op.SendPayload(pr), pr.Rail)
 			} else {
-				r = op.eng.tr.Irecv(proc, pr.Peer, tag, pr.Buf)
+				r = op.eng.tr.Irecv(proc, pr.Peer, tag, op.RecvBuf(pr))
 			}
 			r.AddCallback(op.cb)
 		}
@@ -312,10 +309,12 @@ func (op *Op) transferDone() {
 func (op *Op) finishRound() {
 	rd := &op.sched.Rounds[op.round]
 	for i := range rd.Local {
-		coll.RunLocal(&rd.Local[i])
+		op.RunLocal(&rd.Local[i])
 	}
-	op.eng.rec.Complete("round", op.name, trace.TidRounds, op.roundStart,
-		trace.Int64("round", int64(op.round)))
+	if op.eng.rec.Enabled() { // guarded: the variadic args would allocate
+		op.eng.rec.Complete("round", op.name, trace.TidRounds, op.roundStart,
+			trace.Int64("round", int64(op.round)))
+	}
 	op.round++
 }
 
@@ -330,10 +329,7 @@ func (op *Op) complete() {
 		op.eng.rec.AsyncEnd("nbc", op.name, op.tid)
 		op.tid = 0
 	}
-	if f := op.onDone; f != nil {
-		op.onDone = nil
-		f()
-	}
+	op.Release(op.sched)
 	// The op is finished: no transfer callback or deferred task can still
 	// reference it (rounds only advance once every transfer of the previous
 	// round has called back), so it can recycle now. Holders polling DoneGen

@@ -112,22 +112,38 @@ func (s *fakeSide) deliver(src int, tag int32, data []byte) {
 	s.unexp = append(s.unexp, fakeMsg{src: src, tag: tag, data: data})
 }
 
-// runOps starts build(rank)'s schedule on every rank and waits for all.
+// plan compiles a's plan for (op, algo) and returns it with a — what a
+// runOps build function hands each rank.
+func plan(op coll.OpKind, algo coll.Algo, a coll.Args) (*coll.Schedule, coll.Args) {
+	return coll.Build(coll.Key{Op: op, Algo: algo}, a), a
+}
+
+// barrier is rank's plan of the dissemination barrier over n ranks.
+func barrier(rank, n int) (*coll.Schedule, coll.Args) {
+	return plan(coll.OpBarrier, coll.AlgoDissemination, coll.Args{Rank: rank, Size: n})
+}
+
+// allreduce is rank's recursive-doubling allreduce of x over n ranks.
+func allreduce(rank, n int, x []float64, op coll.Op) (*coll.Schedule, coll.Args) {
+	return plan(coll.OpAllreduce, coll.AlgoRecDoubling, coll.Args{Rank: rank, Size: n, X: x, Op: op})
+}
+
+// runOps starts build(rank)'s plan on every rank and waits for all.
 // Shutdown waits for every engine, not just rank 0's: an asymmetric
 // schedule (e.g. a vector collective whose receives are all elided) can
 // complete rank 0 at Start while other ranks still need progress.
-func runOps(t *testing.T, n int, pio bool, build func(rank int) *coll.Schedule) *fakeNet {
+func runOps(t *testing.T, n int, pio bool, build func(rank int) (*coll.Schedule, coll.Args)) *fakeNet {
 	t.Helper()
-	return runDriven(t, n, pio, build, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule) {
-		op := side.eng.Start(p, s)
+	return runDriven(t, n, pio, build, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule, a coll.Args) {
+		op := side.eng.Start(p, s, a)
 		side.mgr.WaitUntil(p, op.Done)
 	})
 }
 
 // runDriven is runOps with the per-rank execution supplied by drive, which
 // must return only once the rank's op has completed.
-func runDriven(t *testing.T, n int, pio bool, build func(rank int) *coll.Schedule,
-	drive func(side *fakeSide, p *vtime.Proc, s *coll.Schedule)) *fakeNet {
+func runDriven(t *testing.T, n int, pio bool, build func(rank int) (*coll.Schedule, coll.Args),
+	drive func(side *fakeSide, p *vtime.Proc, s *coll.Schedule, a coll.Args)) *fakeNet {
 	t.Helper()
 	e := vtime.NewEngine()
 	net := newFakeNet(e, n, 500*vtime.Nanosecond, pio)
@@ -135,7 +151,8 @@ func runDriven(t *testing.T, n int, pio bool, build func(rank int) *coll.Schedul
 		r := r
 		e.Spawn(fmt.Sprintf("app%d", r), func(p *vtime.Proc) {
 			side := net.sides[r]
-			drive(side, p, build(r))
+			s, a := build(r)
+			drive(side, p, s, a)
 			net.sides[0].mgr.Notify()
 			if r == 0 {
 				side.mgr.WaitUntil(p, func() bool {
@@ -162,7 +179,7 @@ func TestEngineEmptySchedule(t *testing.T) {
 	e := vtime.NewEngine()
 	net := newFakeNet(e, 1, 0, false)
 	e.Spawn("app", func(p *vtime.Proc) {
-		op := net.sides[0].eng.Start(p, &coll.Schedule{})
+		op := net.sides[0].eng.Start(p, &coll.Schedule{}, coll.Args{})
 		if !op.Done() {
 			t.Error("empty schedule must complete at Start")
 		}
@@ -176,8 +193,8 @@ func TestEngineEmptySchedule(t *testing.T) {
 func TestEngineBarrierAllNP(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7, 8} {
 		for _, pio := range []bool{false, true} {
-			runOps(t, n, pio, func(rank int) *coll.Schedule {
-				return coll.BuildBarrier(rank, n)
+			runOps(t, n, pio, func(rank int) (*coll.Schedule, coll.Args) {
+				return barrier(rank, n)
 			})
 		}
 	}
@@ -192,8 +209,8 @@ func TestEngineAllreduceMatchesSerial(t *testing.T) {
 			vecs[r][i] = float64(r + i*3)
 		}
 	}
-	runOps(t, n, true, func(rank int) *coll.Schedule {
-		return coll.BuildAllreduce(rank, n, vecs[rank], coll.OpSum)
+	runOps(t, n, true, func(rank int) (*coll.Schedule, coll.Args) {
+		return allreduce(rank, n, vecs[rank], coll.OpSum)
 	})
 	for i := 0; i < m; i++ {
 		want := 0.0
@@ -211,8 +228,8 @@ func TestEngineAllreduceMatchesSerial(t *testing.T) {
 // TestEngineRoundsDeferredToProgress: multi-round schedules must advance via
 // deferred progress tasks, not inline on the completion callback.
 func TestEngineRoundsDeferredToProgress(t *testing.T) {
-	net := runOps(t, 8, false, func(rank int) *coll.Schedule {
-		return coll.BuildBarrier(rank, 8) // 3 rounds
+	net := runOps(t, 8, false, func(rank int) (*coll.Schedule, coll.Args) {
+		return barrier(rank, 8) // 3 rounds
 	})
 	for r, s := range net.sides {
 		if s.eng.Completed() != 1 {
@@ -226,7 +243,7 @@ func TestEngineRoundsDeferredToProgress(t *testing.T) {
 
 // TestEngineRunCallerDriven: a blocking Run issues every round from the
 // calling proc — no deferred progress task, under either progress regime —
-// computes the same result as the nonblocking drive, and fires onDone once.
+// computes the same result as the nonblocking drive, and completes once.
 func TestEngineRunCallerDriven(t *testing.T) {
 	const n, m = 5, 8
 	for _, pio := range []bool{false, true} {
@@ -237,16 +254,14 @@ func TestEngineRunCallerDriven(t *testing.T) {
 				vecs[r][i] = float64(r + i*3)
 			}
 		}
-		dones := make([]int, n)
-		net := runDriven(t, n, pio, func(rank int) *coll.Schedule {
-			return coll.BuildAllreduce(rank, n, vecs[rank], coll.OpSum)
-		}, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule) {
-			side.eng.Run(p, s, func() { dones[side.rank]++ })
+		net := runDriven(t, n, pio, func(rank int) (*coll.Schedule, coll.Args) {
+			return allreduce(rank, n, vecs[rank], coll.OpSum)
+		}, func(side *fakeSide, p *vtime.Proc, s *coll.Schedule, a coll.Args) {
+			side.eng.Run(p, s, a)
 		})
 		for r, s := range net.sides {
-			if s.eng.Completed() != 1 || dones[r] != 1 {
-				t.Fatalf("pio=%v rank %d: Completed = %d, onDone ran %d times",
-					pio, r, s.eng.Completed(), dones[r])
+			if s.eng.Completed() != 1 {
+				t.Fatalf("pio=%v rank %d: Completed = %d", pio, r, s.eng.Completed())
 			}
 			if s.eng.BGRounds() != 0 {
 				t.Fatalf("pio=%v rank %d: %d rounds issued from progress context",
@@ -274,7 +289,8 @@ func TestEngineSynchronousRounds(t *testing.T) {
 	})
 	e.Spawn("app0", func(p *vtime.Proc) {
 		side := net.sides[0]
-		op := side.eng.Start(p, coll.BuildBarrier(0, 2))
+		s, a := barrier(0, 2)
+		op := side.eng.Start(p, s, a)
 		if !op.Done() {
 			t.Error("pre-matched single-round barrier should complete inline")
 		}
@@ -306,8 +322,10 @@ func TestEngineConcurrentOpsIsolated(t *testing.T) {
 		r := r
 		e.Spawn(fmt.Sprintf("app%d", r), func(p *vtime.Proc) {
 			side := net.sides[r]
-			op1 := side.eng.Start(p, coll.BuildAllreduce(r, n, a[r], coll.OpSum))
-			op2 := side.eng.Start(p, coll.BuildAllreduce(r, n, b[r], coll.OpMax))
+			s1, a1 := allreduce(r, n, a[r], coll.OpSum)
+			s2, a2 := allreduce(r, n, b[r], coll.OpMax)
+			op1 := side.eng.Start(p, s1, a1)
+			op2 := side.eng.Start(p, s2, a2)
 			side.mgr.WaitUntil(p, func() bool { return op1.Done() && op2.Done() })
 			if r == 0 {
 				for _, s := range net.sides {
@@ -339,7 +357,8 @@ func TestEngineDeterministic(t *testing.T) {
 			e.Spawn(fmt.Sprintf("app%d", r), func(p *vtime.Proc) {
 				side := net.sides[r]
 				x := []float64{float64(r), 1}
-				op := side.eng.Start(p, coll.BuildAllreduce(r, 6, x, coll.OpSum))
+				s, a := allreduce(r, 6, x, coll.OpSum)
+				op := side.eng.Start(p, s, a)
 				side.mgr.WaitUntil(p, op.Done)
 				if r == 0 {
 					for _, s := range net.sides {
@@ -384,8 +403,9 @@ func TestEngineVectorSchedules(t *testing.T) {
 				recv[r][d] = make([]byte, counts[r])
 			}
 		}
-		runOps(t, n, pio, func(rank int) *coll.Schedule {
-			return coll.BuildAlltoallv(rank, n, send[rank], recv[rank], true)
+		runOps(t, n, pio, func(rank int) (*coll.Schedule, coll.Args) {
+			return plan(coll.OpAlltoallv, coll.AlgoPairwise,
+				coll.Args{Rank: rank, Size: n, Send: send[rank], Recv: recv[rank]})
 		})
 		for r := 0; r < n; r++ {
 			for s := 0; s < n; s++ {
@@ -408,8 +428,9 @@ func TestEngineVectorSchedules(t *testing.T) {
 			}
 			recvs[r] = make([]float64, counts[r])
 		}
-		runOps(t, n, pio, func(rank int) *coll.Schedule {
-			return coll.BuildReduceScatterHalving(rank, n, xs[rank], recvs[rank], counts, coll.OpSum)
+		runOps(t, n, pio, func(rank int) (*coll.Schedule, coll.Args) {
+			return plan(coll.OpReduceScatter, coll.AlgoRecHalving, coll.Args{Rank: rank, Size: n,
+				X: xs[rank], RecvF64: recvs[rank], RCounts: counts, Op: coll.OpSum})
 		})
 		off := 0
 		for r := 0; r < n; r++ {

@@ -8,42 +8,31 @@ import (
 // The per-communicator schedule cache gives collectives persistent-schedule
 // semantics (libNBC's NBC_Handle reuse): the first invocation of a shape —
 // identified by coll.Key (operation, algorithm, root, counts) — compiles a
-// schedule; repeats rebind the cached schedule's buffers to the new call's
-// arguments and re-execute it with zero compile work. Rank, size and
-// topology are fixed per communicator, so the key fully determines the
-// schedule's structure. Cached and uncached execution are identical in
-// virtual time: compilation is host work, invisible to the simulation —
-// the cache removes host overhead and allocation churn from hot loops
-// without perturbing results (asserted by TestSchedCacheDeterminism).
+// plan; repeats look it up and execute it with zero compile work. A plan
+// names regions, not memory, and every execution binds its own buffers and
+// scratch, so any number of same-shape ops share one plan, in flight at
+// once or not, aliased views included. Rank, size and topology are fixed
+// per communicator, so the key fully determines the plan. Cached and
+// uncached execution are identical in virtual time: compilation is host
+// work, invisible to the simulation — the cache removes host overhead and
+// allocation churn from hot loops without perturbing results (asserted by
+// TestSchedCacheDeterminism).
 type schedCache struct {
-	entries  map[coll.Key]*schedEntry
+	plans    map[coll.Key]*coll.Schedule
 	compiles int64
 	hits     int64
 
-	// Registry counters, resolved once (the rebind hot path must not do
-	// map lookups in the registry).
+	// Registry counters, resolved once (the hit path must not do map
+	// lookups in the registry).
 	compilesCtr *trace.Counter
 	hitsCtr     *trace.Counter
-}
-
-type schedEntry struct {
-	sched *coll.Schedule
-	args  coll.BufArgs
-	// scratch is the flattening target of the next rebind; it swaps with
-	// args on every cache hit so the hot path reuses both region lists'
-	// capacity instead of allocating.
-	scratch coll.BufArgs
-	inUse   bool
-	// release is the closure handed to callers, built once per entry so a
-	// cached start does not allocate it.
-	release func()
 }
 
 // ensureCache creates the cache on first use.
 func (c *Comm) ensureCache() *schedCache {
 	if c.cache == nil {
 		c.cache = &schedCache{
-			entries:     make(map[coll.Key]*schedEntry),
+			plans:       make(map[coll.Key]*coll.Schedule),
 			compilesCtr: c.met.Counter(trace.CtrSchedCompiles),
 			hitsCtr:     c.met.Counter(trace.CtrSchedHits),
 		}
@@ -51,20 +40,8 @@ func (c *Comm) ensureCache() *schedCache {
 	return c.cache
 }
 
-// noRelease is the release handed out for throwaway (uncached) schedules.
-var noRelease = func() {}
-
-// countCompile records an out-of-cache compilation (the aliased-views
-// bypass in schedViews) so SchedCacheStats and the collbench Compiles
-// column see every build, cached path or not.
-func (c *Comm) countCompile() {
-	cc := c.ensureCache()
-	cc.compiles++
-	cc.compilesCtr.Inc()
-}
-
 // schedEvent annotates a cache decision on the trace: the op/algorithm pair
-// and whether the call compiled fresh or rebound a cached schedule.
+// and whether the call compiled a plan or hit a cached one.
 func (c *Comm) schedEvent(what string, key coll.Key) {
 	if c.rec.Enabled() {
 		c.rec.Instant("sched", what,
@@ -72,61 +49,24 @@ func (c *Comm) schedEvent(what string, key coll.Key) {
 	}
 }
 
-// acquireSched returns a ready-to-run schedule for key bound to a's buffers,
-// and the release function that returns it to the cache. While an entry is
-// in flight (a nonblocking collective not yet complete), a second request
-// for the same key compiles a throwaway schedule instead of corrupting the
-// cached one.
-func (c *Comm) acquireSched(key coll.Key, a coll.Args) (*coll.Schedule, func()) {
+// cachedPlan returns the plan for key, compiling it from a's shape on a
+// miss (and on every call under Config.NoSchedCache).
+func (c *Comm) cachedPlan(key coll.Key, a coll.Args) *coll.Schedule {
 	cc := c.ensureCache()
-	if c.cfg.NoSchedCache {
-		cc.compiles++
-		cc.compilesCtr.Inc()
-		c.schedEvent("compile", key)
-		return coll.Build(key, a), noRelease
-	}
-	if e, ok := cc.entries[key]; ok {
-		if e.inUse {
-			cc.compiles++
-			cc.compilesCtr.Inc()
-			c.schedEvent("compile", key)
-			return coll.Build(key, a), noRelease
-		}
-		// Flatten into the entry's scratch, rebind, then swap scratch and
-		// args: no allocation once both lists have grown to the shape's
-		// region count. The old regions are zeroed so the vacated list does
-		// not retain the previous invocation's buffers.
-		a.BufArgsInto(&e.scratch)
-		e.sched.Rebind(e.args, e.scratch)
-		e.args, e.scratch = e.scratch, e.args
-		clearBufArgs(&e.scratch)
-		e.inUse = true
+	if s, ok := cc.plans[key]; ok {
 		cc.hits++
 		cc.hitsCtr.Inc()
-		c.schedEvent("rebind", key)
-		return e.sched, e.release
+		c.schedEvent("hit", key)
+		return s
 	}
-	e := &schedEntry{sched: coll.Build(key, a), args: a.BufArgs(), inUse: true}
-	e.release = func() { e.inUse = false }
-	cc.entries[key] = e
+	s := coll.Build(key, a)
+	if !c.cfg.NoSchedCache {
+		cc.plans[key] = s
+	}
 	cc.compiles++
 	cc.compilesCtr.Inc()
 	c.schedEvent("compile", key)
-	return e.sched, e.release
-}
-
-// clearBufArgs drops a flattened region list's references (keeping
-// capacity) so swapped-out scratch stops pinning caller buffers.
-func clearBufArgs(ba *coll.BufArgs) {
-	for i := range ba.Bytes {
-		ba.Bytes[i] = nil
-	}
-	for i := range ba.F64 {
-		ba.F64[i] = nil
-	}
-	ba.Bytes = ba.Bytes[:0]
-	ba.F64 = ba.F64[:0]
-	ba.Op = nil
+	return s
 }
 
 // SchedCacheStats reports how many schedules this communicator compiled and

@@ -11,8 +11,8 @@ import (
 )
 
 // TestSchedCacheCompilesOnce: repeating a collective with the same shape on
-// one communicator compiles its schedule exactly once; later invocations
-// are cache hits that rebind buffers.
+// one communicator compiles its plan exactly once; later invocations are
+// cache hits that bind their own buffers.
 func TestSchedCacheCompilesOnce(t *testing.T) {
 	const np = 4
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB().WithPIOMan(true)), func(c *Comm) {
@@ -25,7 +25,7 @@ func TestSchedCacheCompilesOnce(t *testing.T) {
 
 		const reps = 5
 		for i := 0; i < reps; i++ {
-			// Fresh buffers each time: reuse must come from rebinding, not
+			// Fresh buffers each time: reuse must come from the shape, not
 			// from pointer identity.
 			y := make([]float64, 64)
 			buf := make([]byte, 512)
@@ -104,8 +104,8 @@ func TestSchedCacheDeterminism(t *testing.T) {
 }
 
 // TestSchedCacheConcurrentSameShape: two in-flight collectives with the
-// same shape stay correct — the second compiles a throwaway schedule
-// instead of rebinding the busy cached one.
+// same shape stay correct while sharing one plan, each through its own
+// binding and scratch arena.
 func TestSchedCacheConcurrentSameShape(t *testing.T) {
 	const np = 4
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB().WithPIOMan(true)), func(c *Comm) {
@@ -126,6 +126,9 @@ func TestSchedCacheConcurrentSameShape(t *testing.T) {
 				break
 			}
 		}
+		if compiles, hits := c.SchedCacheStats(); compiles != 1 || hits != 1 {
+			t.Errorf("rank %d: compiles/hits = %d/%d, want 1/1 (one shared plan)", me, compiles, hits)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +136,8 @@ func TestSchedCacheConcurrentSameShape(t *testing.T) {
 }
 
 // TestSchedCacheNilVsEmpty: nil and zero-length buffers share a cache key
-// (the signature only encodes lengths), so flattening them into rebind
-// regions must treat them identically (regression: nil-vs-empty repeats
-// used to panic with a Rebind shape mismatch).
+// (the signature only encodes lengths), so a plan compiled for one must
+// execute bound to the other.
 func TestSchedCacheNilVsEmpty(t *testing.T) {
 	_, err := Run(xeonCfg(2, cluster.MPICH2NmadIB()), func(c *Comm) {
 		c.Bcast(0, []byte{})
@@ -274,14 +276,12 @@ func TestCollectiveValidation(t *testing.T) {
 	}
 }
 
-// TestAliasedAlltoallBypassesCache: fully aliased block views (NAS IS's
+// TestAliasedAlltoallHitsCache: fully aliased block views (NAS IS's
 // class-size volume exchange shares one workspace block across all peers)
-// must not enter the schedule cache — positional rebinding cannot tell
-// identical regions apart, so a cached aliased schedule would poison a
-// later same-key call with distinct blocks. The aliased call compiles a
-// throwaway schedule; the distinct-block shape before and after it stays
-// cached and correct.
-func TestAliasedAlltoallBypassesCache(t *testing.T) {
+// run on the same cached plan as distinct blocks of the same shape — a plan
+// names regions, not memory — and the distinct-block calls before and
+// after the aliased one stay correct.
+func TestAliasedAlltoallHitsCache(t *testing.T) {
 	const np, b = 4, 8
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
 		me := c.Rank()
@@ -315,7 +315,7 @@ func TestAliasedAlltoallBypassesCache(t *testing.T) {
 
 		// IS-style volume exchange: every block is the same shared buffer
 		// on both sides. Data is garbage by design; the call must neither
-		// panic nor poison the cache entry for this shape.
+		// panic nor disturb later calls of this shape.
 		shared := make([]byte, b)
 		sharedIn := make([]byte, b)
 		aliasedS := make([][]byte, np)
@@ -330,8 +330,8 @@ func TestAliasedAlltoallBypassesCache(t *testing.T) {
 		c.Alltoall(s2, r2)
 		verify("after aliased call", r2, 100)
 
-		if compiles, hits := c.SchedCacheStats(); compiles != 2 || hits != 1 {
-			t.Errorf("rank %d: compiles/hits = %d/%d, want 2/1 (aliased call compiled uncached)",
+		if compiles, hits := c.SchedCacheStats(); compiles != 1 || hits != 2 {
+			t.Errorf("rank %d: compiles/hits = %d/%d, want 1/2 (aliased call hit the cache)",
 				me, compiles, hits)
 		}
 	})
@@ -340,12 +340,11 @@ func TestAliasedAlltoallBypassesCache(t *testing.T) {
 	}
 }
 
-// TestInPlaceAllgatherBypassesCache: aliasing *across* argument slots —
-// mine being out[rank], the natural in-place allgather shape — must bypass
-// the cache exactly like within-list aliasing: the flattened buffer-args
-// view the rebinder sees holds two identical regions, which positional
-// rebinding cannot tell apart on a later same-key call.
-func TestInPlaceAllgatherBypassesCache(t *testing.T) {
+// TestInPlaceAllgatherHitsCache: aliasing *across* argument slots — mine
+// being out[rank], the natural in-place allgather shape — shares the cached
+// plan with a later same-key call over distinct buffers, and both gather
+// correctly.
+func TestInPlaceAllgatherHitsCache(t *testing.T) {
 	const np, b = 4, 16
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
 		me := c.Rank()
@@ -374,16 +373,16 @@ func TestInPlaceAllgatherBypassesCache(t *testing.T) {
 		c.Allgather(inPlace[me], inPlace)
 		verify("in-place", inPlace, 10)
 
-		// Same key, fully distinct buffers: must not inherit a schedule
-		// compiled over the aliased layout.
+		// Same key, fully distinct buffers: the plan the in-place call
+		// compiled must bind them, not the in-place call's memory.
 		out := mkOut(100)
 		mine := make([]byte, b)
 		copy(mine, out[me])
 		c.Allgather(mine, out)
 		verify("distinct after in-place", out, 100)
 
-		if compiles, hits := c.SchedCacheStats(); compiles != 2 || hits != 0 {
-			t.Errorf("rank %d: compiles/hits = %d/%d, want 2/0 (in-place call compiled uncached)",
+		if compiles, hits := c.SchedCacheStats(); compiles != 1 || hits != 1 {
+			t.Errorf("rank %d: compiles/hits = %d/%d, want 1/1 (in-place call shares the plan)",
 				me, compiles, hits)
 		}
 	})

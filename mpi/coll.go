@@ -9,16 +9,17 @@ import (
 	"repro/internal/vtime"
 )
 
-// Collectives compile to per-rank schedules through the internal/coll
+// Collectives compile to per-rank plans through the internal/coll
 // registry: coll.KeyFor selects the algorithm from payload size, rank count
 // and topology (binomial vs scatter-allgather broadcast, recursive doubling
 // vs Rabenseifner allreduce, Bruck vs ring allgather, flat vs two-level),
-// and the per-communicator schedule cache reuses the compiled schedule when
+// and the per-communicator schedule cache reuses the compiled plan when
 // the same shape repeats — persistent-collective semantics: compile once,
-// rebind buffers, re-execute. Blocking and nonblocking paths share the
-// selection, the cache and the internal/nbc engine that executes the
-// schedule: a blocking collective drives the rounds itself (run), a
-// nonblocking one leaves all but round 0 to the progress engine (nbcStart).
+// then every execution binds its own buffers to the shared plan. Blocking
+// and nonblocking paths share the selection, the cache and the internal/nbc
+// engine that executes the plan: a blocking collective drives the rounds
+// itself (run), a nonblocking one leaves all but round 0 to the progress
+// engine (nbcStart).
 
 // twoLevelApplies reports whether the topology-aware hierarchical variants
 // apply to a communicator with the given node map: requested by config,
@@ -39,11 +40,11 @@ func twoLevelApplies(cfg *Config, nodes []int) bool {
 	return false
 }
 
-// sched selects the algorithm, then compiles or rebinds the schedule via the
-// per-communicator cache. The returned release function must run when the
-// execution finishes: both paths hand it to the engine as the op's
-// completion callback.
-func (c *Comm) sched(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
+// plan selects the algorithm and returns the compiled plan for a's shape
+// from the per-communicator cache, together with a completed by the
+// communicator's fields and the key's resolved shape (segment size, stripe
+// width) — the arguments the execution binds.
+func (c *Comm) plan(op coll.OpKind, a coll.Args) (*coll.Schedule, coll.Args) {
 	a.Rank, a.Size = c.rank, len(c.group)
 	if c.twoLvl {
 		a.Nodes = c.nodes
@@ -51,7 +52,7 @@ func (c *Comm) sched(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
 	key := coll.KeyFor(&c.cfg.Coll, op, a, a.Nodes != nil)
 	a.Seg = key.Seg // resolved pipeline segment size (0 for non-segmented algos)
 	c.stripeArgs(&a, key)
-	return c.acquireSched(key, a)
+	return c.cachedPlan(key, a), a
 }
 
 // stripeArgs copies the key's resolved rail-stripe width back into the
@@ -65,66 +66,34 @@ func (c *Comm) stripeArgs(a *coll.Args, key coll.Key) {
 	}
 }
 
-// schedViews is sched for the uniform block-view entry points, whose
-// arguments may carry aliased views. Aliased views bypass the cache
-// entirely: positional rebinding cannot tell identical regions apart, so
-// caching a schedule built over overlapping regions would poison later
-// same-key calls (the counts signature only sees lengths). Such layouts
-// are legal here — NAS IS exchanges class-size volume through one shared
-// workspace block, and in-place shapes like Allgather(out[me], out) alias
-// *across* argument slots — so the scan runs over every caller byte
-// region combined, the same flattening BufArgs hands the rebinder. The
-// vector entry points never need this check: their overlap analysis
-// already happened (send overlaps keyed exactly via SDispls, receive and
-// cross-buffer overlaps rejected), so they call sched directly and keep
-// the hot cached path free of re-analysis.
-func (c *Comm) schedViews(op coll.OpKind, a coll.Args) (*coll.Schedule, func()) {
-	regions := make([][]byte, 0, len(a.Send)+len(a.Recv)+len(a.Out)+2)
-	regions = append(regions, a.Data, a.Mine)
-	regions = append(regions, a.Send...)
-	regions = append(regions, a.Recv...)
-	regions = append(regions, a.Out...)
-	if blocksAlias(regions) {
-		a.Rank, a.Size = c.rank, len(c.group)
-		if c.twoLvl {
-			a.Nodes = c.nodes
-		}
-		key := coll.KeyFor(&c.cfg.Coll, op, a, a.Nodes != nil)
-		a.Seg = key.Seg
-		c.stripeArgs(&a, key)
-		c.countCompile()
-		return coll.Build(key, a), func() {}
-	}
-	return c.sched(op, a)
-}
-
 // ---- blocking collectives ----------------------------------------------------
 
-// run executes a compiled schedule to completion on the calling rank: the
-// nbc engine's caller-driven mode, where this thread posts each round and
-// waits for it before issuing the next. release runs at completion.
-func (c *Comm) run(s *coll.Schedule, release func()) {
-	c.engine().Run(c.proc, s, release)
+// run executes op over a to completion on the calling rank: the nbc
+// engine's caller-driven mode, where this thread posts each round and
+// waits for it before issuing the next.
+func (c *Comm) run(op coll.OpKind, a coll.Args) {
+	s, a := c.plan(op, a)
+	c.engine().Run(c.proc, s, a)
 }
 
 // Barrier blocks until all ranks reach it.
 func (c *Comm) Barrier() {
 	defer c.span("Barrier")()
-	c.run(c.sched(coll.OpBarrier, coll.Args{}))
+	c.run(coll.OpBarrier, coll.Args{})
 }
 
 // Bcast distributes data (in place) from root.
 func (c *Comm) Bcast(root int, data []byte) {
 	defer c.span("Bcast")()
 	c.checkRoot("Bcast", root)
-	c.run(c.sched(coll.OpBcast, coll.Args{Root: root, Data: data}))
+	c.run(coll.OpBcast, coll.Args{Root: root, Data: data})
 }
 
 // AllreduceF64 combines x elementwise across ranks, in place.
 func (c *Comm) AllreduceF64(x []float64, op coll.Op) {
 	defer c.span("AllreduceF64")()
 	c.checkOp("AllreduceF64", op)
-	c.run(c.sched(coll.OpAllreduce, coll.Args{X: x, Op: op}))
+	c.run(coll.OpAllreduce, coll.Args{X: x, Op: op})
 }
 
 // ReduceF64 combines x into root's x (clobbered elsewhere).
@@ -132,28 +101,28 @@ func (c *Comm) ReduceF64(root int, x []float64, op coll.Op) {
 	defer c.span("ReduceF64")()
 	c.checkRoot("ReduceF64", root)
 	c.checkOp("ReduceF64", op)
-	c.run(c.sched(coll.OpReduce, coll.Args{Root: root, X: x, Op: op}))
+	c.run(coll.OpReduce, coll.Args{Root: root, X: x, Op: op})
 }
 
 // Allgather collects each rank's block into out[r].
 func (c *Comm) Allgather(mine []byte, out [][]byte) {
 	defer c.span("Allgather")()
 	c.checkAllgather("Allgather", mine, out)
-	c.run(c.schedViews(coll.OpAllgather, coll.Args{Mine: mine, Out: out}))
+	c.run(coll.OpAllgather, coll.Args{Mine: mine, Out: out})
 }
 
 // Alltoall exchanges send[r] → rank r into recv[s].
 func (c *Comm) Alltoall(send, recv [][]byte) {
 	defer c.span("Alltoall")()
 	c.checkAlltoall("Alltoall", send, recv)
-	c.run(c.schedViews(coll.OpAlltoall, coll.Args{Send: send, Recv: recv}))
+	c.run(coll.OpAlltoall, coll.Args{Send: send, Recv: recv})
 }
 
 // Gather collects blocks at root (out[r] is filled on root only).
 func (c *Comm) Gather(root int, mine []byte, out [][]byte) {
 	defer c.span("Gather")()
 	c.checkGather("Gather", root, mine, out)
-	c.run(c.schedViews(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out}))
+	c.run(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out})
 }
 
 // Scatter distributes blocks[r] from root to rank r's buf (MPI_Scatter;
@@ -161,7 +130,7 @@ func (c *Comm) Gather(root int, mine []byte, out [][]byte) {
 func (c *Comm) Scatter(root int, blocks [][]byte, buf []byte) {
 	defer c.span("Scatter")()
 	c.checkScatter("Scatter", root, blocks, buf)
-	c.run(c.schedViews(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf}))
+	c.run(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf})
 }
 
 // ---- vector (per-rank count) collectives -------------------------------------
@@ -172,14 +141,14 @@ func (c *Comm) Scatter(root int, blocks [][]byte, buf []byte) {
 // They compile through the same registry, schedule cache and nonblocking
 // engine as the uniform collectives; only the counts — not the
 // displacements — enter the cache key, so re-invoking with a different
-// layout rebinds the cached schedule.
+// layout binds the cached plan to the new blocks.
 
 // Alltoallv exchanges variable-size blocks: sbuf's block d goes to rank d
 // and rbuf's block s receives from rank s.
 func (c *Comm) Alltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Alltoallv")()
 	a := c.alltoallvArgs("Alltoallv", sbuf, scounts, sdispls, rbuf, rcounts, rdispls)
-	c.run(c.sched(coll.OpAlltoallv, a))
+	c.run(coll.OpAlltoallv, a)
 }
 
 // Ialltoallv starts a nonblocking variable-size alltoall exchange.
@@ -195,7 +164,7 @@ func (c *Comm) Ialltoallv(sbuf []byte, scounts, sdispls []int, rbuf []byte, rcou
 func (c *Comm) Allgatherv(mine []byte, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Allgatherv")()
 	a := c.allgathervArgs("Allgatherv", mine, rbuf, rcounts, rdispls)
-	c.run(c.sched(coll.OpAllgatherv, a))
+	c.run(coll.OpAllgatherv, a)
 }
 
 // Iallgatherv starts a nonblocking variable-size allgather.
@@ -211,7 +180,7 @@ func (c *Comm) Iallgatherv(mine []byte, rbuf []byte, rcounts, rdispls []int) *Re
 func (c *Comm) Gatherv(root int, mine []byte, rbuf []byte, rcounts, rdispls []int) {
 	defer c.span("Gatherv")()
 	a := c.gathervArgs("Gatherv", root, mine, rbuf, rcounts, rdispls)
-	c.run(c.sched(coll.OpGatherv, a))
+	c.run(coll.OpGatherv, a)
 }
 
 // Igatherv starts a nonblocking variable-size gather at root.
@@ -227,7 +196,7 @@ func (c *Comm) Igatherv(root int, mine []byte, rbuf []byte, rcounts, rdispls []i
 func (c *Comm) Scatterv(root int, sbuf []byte, scounts, sdispls []int, buf []byte) {
 	defer c.span("Scatterv")()
 	a := c.scattervArgs("Scatterv", root, sbuf, scounts, sdispls, buf)
-	c.run(c.sched(coll.OpScatterv, a))
+	c.run(coll.OpScatterv, a)
 }
 
 // Iscatterv starts a nonblocking variable-size scatter from root.
@@ -244,7 +213,7 @@ func (c *Comm) Iscatterv(root int, sbuf []byte, scounts, sdispls []int, buf []by
 func (c *Comm) ReduceScatterF64(x, recv []float64, counts []int, op coll.Op) {
 	defer c.span("ReduceScatterF64")()
 	a := c.reduceScatterArgs("ReduceScatterF64", x, recv, counts, op)
-	c.run(c.sched(coll.OpReduceScatter, a))
+	c.run(coll.OpReduceScatter, a)
 }
 
 // IreduceScatterF64 starts a nonblocking reduce-scatter of x.
@@ -259,11 +228,11 @@ func (c *Comm) IreduceScatterF64(x, recv []float64, counts []int, op coll.Op) *R
 // The I* operations compile the same schedules as their blocking
 // counterparts and run them on the same internal/nbc engine, but the
 // calling thread only issues round 0 and returns immediately; subsequent
-// rounds are driven by the progress engine, so with PIOMan enabled the collective advances on an
-// idle core while the caller computes. The returned *Request composes with
-// Wait, WaitAll, WaitAny and Test. A cached schedule stays bound to the
-// operation until it completes; starting the same shape again while one is
-// in flight compiles a throwaway schedule.
+// rounds are driven by the progress engine, so with PIOMan enabled the
+// collective advances on an idle core while the caller computes. The
+// returned *Request composes with Wait, WaitAll, WaitAny and Test. Each
+// operation binds the cached plan to its own buffers, so same-shape
+// operations in flight together share one plan.
 
 // nbcTransport adapts the CH3 layer to the nbc engine on the collective
 // context.
@@ -283,25 +252,14 @@ func (t nbcTransport) Irecv(proc *vtime.Proc, src int, tag int32, buf []byte) nb
 	return t.c.p.IrecvPooled(proc, t.c.world(src), tag, t.c.nbcCtx, buf)
 }
 
+// nbcStart hands op's plan, bound to a, to the nonblocking engine.
 func (c *Comm) nbcStart(op coll.OpKind, a coll.Args) *Request {
-	s, release := c.sched(op, a)
-	return c.nbcStartSched(s, release)
-}
-
-// nbcStartViews is nbcStart through schedViews (possibly aliased views).
-func (c *Comm) nbcStartViews(op coll.OpKind, a coll.Args) *Request {
-	s, release := c.schedViews(op, a)
-	return c.nbcStartSched(s, release)
-}
-
-// nbcStartSched hands a compiled schedule to the nonblocking engine;
-// release (nil for uncached schedules) runs when the operation completes.
-func (c *Comm) nbcStartSched(s *coll.Schedule, release func()) *Request {
-	op := c.engine().StartDone(c.proc, s, release)
-	// No yield separates StartDone returning and the Gen read, so the
+	s, a := c.plan(op, a)
+	o := c.engine().Start(c.proc, s, a)
+	// No yield separates Start returning and the Gen read, so the
 	// generation observed is the started op's even if it already completed
 	// (and was recycled) synchronously.
-	return &Request{c: c, op: op, opGen: op.Gen()}
+	return &Request{c: c, op: o, opGen: o.Gen()}
 }
 
 // engine returns the communicator's schedule engine, created lazily.
@@ -355,21 +313,21 @@ func (c *Comm) IreduceF64(root int, x []float64, op coll.Op) *Request {
 func (c *Comm) Iallgather(mine []byte, out [][]byte) *Request {
 	defer c.span("Iallgather")()
 	c.checkAllgather("Iallgather", mine, out)
-	return c.nbcStartViews(coll.OpAllgather, coll.Args{Mine: mine, Out: out})
+	return c.nbcStart(coll.OpAllgather, coll.Args{Mine: mine, Out: out})
 }
 
 // Ialltoall starts a nonblocking alltoall exchange send[r] → rank r.
 func (c *Comm) Ialltoall(send, recv [][]byte) *Request {
 	defer c.span("Ialltoall")()
 	c.checkAlltoall("Ialltoall", send, recv)
-	return c.nbcStartViews(coll.OpAlltoall, coll.Args{Send: send, Recv: recv})
+	return c.nbcStart(coll.OpAlltoall, coll.Args{Send: send, Recv: recv})
 }
 
 // Igather starts a nonblocking gather of blocks at root.
 func (c *Comm) Igather(root int, mine []byte, out [][]byte) *Request {
 	defer c.span("Igather")()
 	c.checkGather("Igather", root, mine, out)
-	return c.nbcStartViews(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out})
+	return c.nbcStart(coll.OpGather, coll.Args{Root: root, Mine: mine, Out: out})
 }
 
 // Iscatter starts a nonblocking scatter of blocks[r] from root to rank r's
@@ -377,7 +335,7 @@ func (c *Comm) Igather(root int, mine []byte, out [][]byte) *Request {
 func (c *Comm) Iscatter(root int, blocks [][]byte, buf []byte) *Request {
 	defer c.span("Iscatter")()
 	c.checkScatter("Iscatter", root, blocks, buf)
-	return c.nbcStartViews(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf})
+	return c.nbcStart(coll.OpScatter, coll.Args{Root: root, Send: blocks, Mine: buf})
 }
 
 // ---- argument validation -----------------------------------------------------
@@ -440,10 +398,8 @@ func (c *Comm) checkGather(op string, root int, mine []byte, out [][]byte) {
 // checkVec validates one side's count/displacement vectors against the flat
 // buffer they index: one count per rank, no negative counts, and every block
 // inside the buffer. It reports whether any two nonzero blocks overlap —
-// legal for sends (which only read), but such aliased layouts must enter
-// the cache key (coll.Args.SDispls) because positional rebinding cannot
-// tell overlapping regions apart; receive-side callers panic on overlap
-// instead, since aliased receive blocks silently corrupt each other.
+// legal for sends (which only read); receive-side callers panic on overlap,
+// since aliased receive blocks silently corrupt each other.
 func (c *Comm) checkVec(op, side string, buf []byte, counts, displs []int) (overlap bool) {
 	if len(counts) != c.Size() {
 		panic(fmt.Sprintf("mpi: %s: %d %s counts for communicator size %d",
@@ -474,10 +430,8 @@ func (c *Comm) checkVec(op, side string, buf []byte, counts, displs []int) (over
 }
 
 // checkDisjoint panics when two caller buffers overlap in memory: the
-// vector collectives require disjoint send/receive regions (as MPI does),
-// and the schedule cache's positional rebinding relies on it — a region
-// aliased across the two argument sets would rebind ambiguously on a later
-// same-key call.
+// vector collectives require disjoint send/receive regions, as MPI does —
+// a receive landing in memory a send still reads corrupts the exchange.
 func checkDisjoint(op, aName, bName string, a, b []byte) {
 	if len(a) == 0 || len(b) == 0 {
 		return
@@ -501,7 +455,7 @@ func checkDisjointF64(op, aName, bName string, a, b []float64) {
 }
 
 func (c *Comm) alltoallvArgs(op string, sbuf []byte, scounts, sdispls []int, rbuf []byte, rcounts, rdispls []int) coll.Args {
-	sOverlap := c.checkVec(op, "send", sbuf, scounts, sdispls)
+	c.checkVec(op, "send", sbuf, scounts, sdispls)
 	if c.checkVec(op, "recv", rbuf, rcounts, rdispls) {
 		panic(fmt.Sprintf("mpi: %s: overlapping recv blocks", op))
 	}
@@ -510,14 +464,10 @@ func (c *Comm) alltoallvArgs(op string, sbuf []byte, scounts, sdispls []int, rbu
 		panic(fmt.Sprintf("mpi: %s: self block mismatch: scounts[%d]=%d, rcounts[%d]=%d",
 			op, c.rank, scounts[c.rank], c.rank, rcounts[c.rank]))
 	}
-	a := coll.Args{
+	return coll.Args{
 		Send: coll.Blocks(sbuf, scounts, sdispls),
 		Recv: coll.Blocks(rbuf, rcounts, rdispls),
 	}
-	if sOverlap {
-		a.SDispls = sdispls
-	}
-	return a
 }
 
 func (c *Comm) allgathervArgs(op string, mine, rbuf []byte, rcounts, rdispls []int) coll.Args {
@@ -556,16 +506,13 @@ func (c *Comm) scattervArgs(op string, root int, sbuf []byte, scounts, sdispls [
 	if c.rank != root {
 		return a
 	}
-	overlap := c.checkVec(op, "send", sbuf, scounts, sdispls)
+	c.checkVec(op, "send", sbuf, scounts, sdispls)
 	checkDisjoint(op, "send buffer", "buf", sbuf, buf)
 	if scounts[root] != len(buf) {
 		panic(fmt.Sprintf("mpi: %s: scounts[%d]=%d but buf is %d bytes",
 			op, root, scounts[root], len(buf)))
 	}
 	a.Send = coll.Blocks(sbuf, scounts, sdispls)
-	if overlap {
-		a.SDispls = sdispls
-	}
 	return a
 }
 

@@ -7,11 +7,11 @@ import (
 )
 
 // TestConcurrentNbcSiblingComms exercises the schedule cache under
-// concurrent compile/rebind: every rank keeps nonblocking collectives in
+// concurrent compiles and hits: every rank keeps nonblocking collectives in
 // flight on two sibling Split communicators plus the parent at once, over
-// several iterations (rebind of cached schedules while others compile),
-// and finishes with two same-shape operations outstanding on one
-// communicator (the in-flight entry forces a throwaway compile). Run under
+// several iterations (cached plans bound anew while others compile), and
+// finishes with two same-shape operations outstanding on one communicator
+// (both bound to one plan, each with its own scratch arena). Run under
 // -race in CI, where the PIOMan progress threads advance rounds while the
 // application threads start and wait on requests.
 func TestConcurrentNbcSiblingComms(t *testing.T) {
@@ -60,8 +60,7 @@ func TestConcurrentNbcSiblingComms(t *testing.T) {
 		}
 
 		// Two same-shape operations in flight on one communicator: the
-		// cached entry is busy, so the second compiles a throwaway schedule
-		// while the first still runs.
+		// second binds the plan the first is still executing.
 		a := make([]float64, 64)
 		b := make([]float64, 64)
 		for i := range a {

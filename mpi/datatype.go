@@ -119,21 +119,19 @@ func (c *Comm) unpackD(user, wire []byte, dt Datatype) {
 // AlltoallvBytes exchanges variable-size blocks: send[r] goes to rank r and
 // recv[s] (pre-sized by the caller) receives from rank s. It is the
 // block-view form of Alltoallv and compiles through the same schedule
-// engine: per-rank pairwise rounds with zero-length blocks elided, cached
-// and rebound per communicator like every other collective. Send blocks may
-// alias each other (sched compiles schedules over aliased views outside
-// the cache, whose positional rebinding cannot tell overlapping regions
-// apart); aliased receive blocks panic. This is the primitive the IS
-// kernel needs.
+// engine: per-rank pairwise rounds with zero-length blocks elided, planned
+// once per shape and communicator like every other collective. Send blocks
+// may alias each other; aliased receive blocks panic. This is the primitive
+// the IS kernel needs.
 func (c *Comm) AlltoallvBytes(send, recv [][]byte) {
 	a := c.alltoallvBytesArgs("AlltoallvBytes", send, recv)
-	c.run(c.schedViews(coll.OpAlltoallv, a))
+	c.run(coll.OpAlltoallv, a)
 }
 
 // IalltoallvBytes starts a nonblocking block-view alltoallv.
 func (c *Comm) IalltoallvBytes(send, recv [][]byte) *Request {
 	a := c.alltoallvBytesArgs("IalltoallvBytes", send, recv)
-	return c.nbcStartViews(coll.OpAlltoallv, a)
+	return c.nbcStart(coll.OpAlltoallv, a)
 }
 
 func (c *Comm) alltoallvBytesArgs(op string, send, recv [][]byte) coll.Args {

@@ -41,8 +41,8 @@
 //
 // Schedules are persistent: each communicator caches compiled schedules by
 // shape (operation, algorithm, root, counts), so a collective repeated in a
-// loop compiles exactly once — later invocations rebind the cached
-// schedule to the new buffers and re-execute it. Compilation is host work,
+// loop compiles exactly once — later invocations bind the cached plan to
+// their own buffers and execute it, any number of them in flight at once. Compilation is host work,
 // invisible to virtual time, so cached and uncached runs produce identical
 // simulated timings (Config.NoSchedCache turns the cache off to verify).
 //

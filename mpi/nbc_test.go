@@ -184,17 +184,19 @@ func TestBlockingMixedRound(t *testing.T) {
 			_, err := Run(xeonCfg(np, stack), func(c *Comm) {
 				me := c.Rank()
 				var rd coll.Round
-				recv := make([][]byte, np)
+				a := coll.Args{Send: make([][]byte, np), Recv: make([][]byte, np)}
+				recv := a.Recv
 				for off := 1; off < np; off++ {
 					dst := (me + off) % np
-					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimSend, Peer: dst, Data: block(me, dst)})
+					a.Send[dst] = block(me, dst)
+					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimSend, Peer: dst, Data: a.SendRefs()[dst]})
 				}
 				for off := 1; off < np; off++ {
 					src := (me + off) % np
 					recv[src] = make([]byte, n)
-					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimRecv, Peer: src, Buf: recv[src]})
+					rd.Comm = append(rd.Comm, coll.Prim{Kind: coll.PrimRecv, Peer: src, Buf: a.RecvRefs()[src]})
 				}
-				c.run(&coll.Schedule{Rounds: []coll.Round{rd}}, nil)
+				c.engine().Run(c.proc, &coll.Schedule{Rounds: []coll.Round{rd}}, a)
 				for src := range recv {
 					if src != me && !bytes.Equal(recv[src], block(src, me)) {
 						t.Errorf("rank %d: block from rank %d corrupted", me, src)

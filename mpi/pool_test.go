@@ -9,52 +9,85 @@ import (
 )
 
 // TestCachedSchedStartZeroAlloc pins the heavy-traffic hot path at zero
-// allocations: once a shape's schedule is cached, rebinding it and handing
-// it to the engine must not allocate — the free lists (requests, ops), the
-// per-entry BufArgs scratch, the cached release closure and the op's
-// prebuilt closures cover it. Both drives are pinned: the nonblocking start
-// (acquireSched → StartDone, the body of every cached I* start) and the
-// caller-driven blocking run (acquireSched → Run, every cached blocking
-// collective).
+// allocations: once a shape's plan is cached, looking it up, binding it and
+// handing it to the engine must not allocate — the free lists (requests,
+// ops, scratch arenas) and the op's prebuilt closures cover it. Four drives
+// are pinned:
+//   - the nonblocking start (cachedPlan → Start, the body of every cached
+//     I* start);
+//   - the caller-driven blocking run (cachedPlan → Run, every cached
+//     blocking collective);
+//   - a second start of a shape whose plan is still bound by an operation
+//     in flight (which once forced a throwaway compile);
+//   - the in-place allgather, Iallgather(out[me], out), whose aliased views
+//     once bypassed the cache.
 //
 // The run is single-rank so the schedule is local-only and the measured
-// calls cross no yield point: nothing else runs during AllocsPerRun.
+// calls cross no yield point: nothing else runs during AllocsPerRun. A
+// single-rank operation completes inside its start, so the in-flight
+// operation of the third drive is stood in for by a binding held on its
+// plan, which is all an operation in flight holds.
 func TestCachedSchedStartZeroAlloc(t *testing.T) {
 	cfg := xeonCfg(1, cluster.MPICH2NmadIB())
-	var start, run float64
+	var start, run, second, inPlace float64
 	_, err := Run(cfg, func(c *Comm) {
 		x := make([]float64, 64)
-		// Warm the path: first call compiles the entry, second grows the
-		// rebind scratch and the free lists to steady state.
-		c.Wait(c.IallreduceF64(x, OpSum))
-		c.Wait(c.IallreduceF64(x, OpSum))
+		out := [][]byte{make([]byte, 32)}
+		// Warm the path: the first calls compile the plans, the second
+		// ones grow the free lists to steady state.
+		for i := 0; i < 2; i++ {
+			c.Wait(c.IallreduceF64(x, OpSum))
+			c.Wait(c.Iallgather(out[0], out))
+		}
 
-		// Pre-resolve what Comm.sched computes per call; KeyFor itself
+		// Pre-resolve what Comm.plan computes per call; KeyFor itself
 		// builds a signature string, which is compile-time work outside
 		// the pinned cached path.
-		a := coll.Args{X: x, Op: coll.OpSum}
-		a.Rank, a.Size = c.rank, len(c.group)
-		key := coll.KeyFor(&c.cfg.Coll, coll.OpAllreduce, a, false)
-		a.Seg = key.Seg
+		resolve := func(op coll.OpKind, a coll.Args) (coll.Key, coll.Args) {
+			a.Rank, a.Size = c.rank, len(c.group)
+			key := coll.KeyFor(&c.cfg.Coll, op, a, false)
+			a.Seg = key.Seg
+			return key, a
+		}
+		key, a := resolve(coll.OpAllreduce, coll.Args{X: x, Op: coll.OpSum})
+		gkey, ga := resolve(coll.OpAllgather, coll.Args{Mine: out[0], Out: out})
 		eng := c.engine()
 
 		start = testing.AllocsPerRun(200, func() {
-			s, release := c.acquireSched(key, a)
-			eng.StartDone(c.proc, s, release)
+			eng.Start(c.proc, c.cachedPlan(key, a), a)
 		})
 		run = testing.AllocsPerRun(200, func() {
-			s, release := c.acquireSched(key, a)
-			eng.Run(c.proc, s, release)
+			eng.Run(c.proc, c.cachedPlan(key, a), a)
 		})
+		var held coll.Binding
+		plan := c.cachedPlan(key, a)
+		held.Bind(plan, a)
+		second = testing.AllocsPerRun(200, func() {
+			eng.Start(c.proc, c.cachedPlan(key, a), a)
+		})
+		held.Release(plan)
+		inPlace = testing.AllocsPerRun(200, func() {
+			eng.Start(c.proc, c.cachedPlan(gkey, ga), ga)
+		})
+		if compiles, _ := c.SchedCacheStats(); compiles != 2 {
+			t.Errorf("%d compiles, want 2 (one plan per shape)", compiles)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if start != 0 {
-		t.Errorf("cached schedule rebind+start allocates %.2f objects/op, want 0", start)
-	}
-	if run != 0 {
-		t.Errorf("cached schedule rebind+blocking run allocates %.2f objects/op, want 0", run)
+	for _, m := range []struct {
+		what   string
+		allocs float64
+	}{
+		{"cached plan start", start},
+		{"cached plan blocking run", run},
+		{"second start while the plan is bound in flight", second},
+		{"in-place allgather start", inPlace},
+	} {
+		if m.allocs != 0 {
+			t.Errorf("%s allocates %.2f objects/op, want 0", m.what, m.allocs)
+		}
 	}
 }
 

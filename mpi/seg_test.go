@@ -22,9 +22,9 @@ func segCfg(np, seg int, noCache bool) Config {
 }
 
 // TestSegmentedSchedCacheRebind: repeated segmented collectives with fresh
-// buffers compile exactly once and rebind thereafter — the per-segment
-// sub-slices the pipelined builders take must all retarget onto the new
-// buffers, and the data must stay correct on every repeat.
+// buffers compile exactly once and bind the cached plan thereafter — the
+// per-segment sub-regions the pipelined builders name must all resolve
+// into the new buffers, and the data must stay correct on every repeat.
 func TestSegmentedSchedCacheRebind(t *testing.T) {
 	const np, sz = 4, 40 << 10 // 40KB over 4KB segments: 10 segments
 	_, err := Run(segCfg(np, 4<<10, false), func(c *Comm) {
@@ -35,7 +35,7 @@ func TestSegmentedSchedCacheRebind(t *testing.T) {
 
 		const reps = 3
 		for i := 0; i < reps; i++ {
-			// Fresh buffers each round: reuse must come from rebinding.
+			// Fresh buffers each round: reuse must come from the shape.
 			data := make([]byte, sz)
 			if me == 0 {
 				for j := range data {
@@ -80,7 +80,7 @@ func TestSegmentedSchedCacheRebind(t *testing.T) {
 
 // TestSegmentedSchedCacheDeterminism: cached and uncached runs of the
 // pipelined builders produce identical virtual time — compilation and
-// rebinding stay host work for segmented schedules too (the cached≡uncached
+// binding stay host work for segmented schedules too (the cached≡uncached
 // contract extended to the pipelined builders).
 func TestSegmentedSchedCacheDeterminism(t *testing.T) {
 	workload := func(c *Comm) {
@@ -111,7 +111,7 @@ func TestSegmentedSchedCacheDeterminism(t *testing.T) {
 // different schedule — ranks running under different SegBytes settings
 // compile distinct keys (asserted at the coll level in
 // TestKeyForSegmented), and end to end a different segment size changes
-// the compile count on a fresh communicator rather than rebinding across
+// the compile count on a fresh communicator rather than sharing a plan across
 // seg values.
 func TestSegmentedSegChangesKey(t *testing.T) {
 	count := func(seg int) int64 {
@@ -129,7 +129,7 @@ func TestSegmentedSegChangesKey(t *testing.T) {
 		return compiles
 	}
 	if c4, c16 := count(4<<10), count(16<<10); c4 != 1 || c16 != 1 {
-		t.Fatalf("compiles = %d/%d, want 1/1 (second call rebinds within one seg value)", c4, c16)
+		t.Fatalf("compiles = %d/%d, want 1/1 (second call hits within one seg value)", c4, c16)
 	}
 	// Different seg values really execute different pipelines: virtual time
 	// must differ for a payload spanning several segments.

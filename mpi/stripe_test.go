@@ -9,7 +9,7 @@ import (
 
 // TestStripedBcastEndToEnd: a forced-striped chain bcast on the two-rail
 // stack delivers the exact payload to every rank, compiles its schedule once
-// and rebinds fresh buffers on cache hits, and the registry's rail counters
+// and binds fresh buffers on cache hits, and the registry's rail counters
 // show the payload split across both wires.
 func TestStripedBcastEndToEnd(t *testing.T) {
 	const np, n = 4, 256 << 10

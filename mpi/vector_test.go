@@ -89,7 +89,7 @@ func TestAlltoallvEngineMatchesReference(t *testing.T) {
 
 // TestAlltoallvBytesRunsOnEngine: the block-view form compiles schedules
 // through the per-communicator cache — the historical hand-rolled loop is
-// gone — and repeated shapes rebind instead of recompiling.
+// gone — and repeated shapes hit the cache instead of recompiling.
 func TestAlltoallvBytesRunsOnEngine(t *testing.T) {
 	const np = 4
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
@@ -121,7 +121,7 @@ func TestAlltoallvBytesRunsOnEngine(t *testing.T) {
 			t.Errorf("rank %d: AlltoallvBytes bypassed the schedule cache", me)
 		}
 		for i := 0; i < 3; i++ {
-			run() // fresh buffers, same counts: rebinds, no recompiles
+			run() // fresh buffers, same counts: cache hits, no recompiles
 		}
 		c1, h1 := c.SchedCacheStats()
 		if c1 != c0 {
@@ -491,11 +491,11 @@ func TestVectorValidationPanics(t *testing.T) {
 	}
 }
 
-// TestAlltoallvOverlappingDisplsNotCacheConfused: a call whose send blocks
-// alias each other (legal for sends) must not poison the schedule cache for
-// a later same-counts call with a different, disjoint layout — overlapping
-// layouts key on their displacements, disjoint ones rebind positionally.
-func TestAlltoallvOverlappingDisplsNotCacheConfused(t *testing.T) {
+// TestAlltoallvOverlappingDisplsHitCache: a call whose send blocks alias
+// each other (legal for sends) and a later same-counts call with a
+// disjoint layout share one cached plan — displacements change only what
+// an execution binds — and each moves its own blocks.
+func TestAlltoallvOverlappingDisplsHitCache(t *testing.T) {
 	const np = 2
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
 		me := c.Rank()
@@ -518,7 +518,7 @@ func TestAlltoallvOverlappingDisplsNotCacheConfused(t *testing.T) {
 		}
 
 		// Call 2: same counts, disjoint layout, distinct per-block content.
-		// A stale rebind of call 1's schedule would send block 0's bytes to
+		// A plan bound to call 1's memory would send block 0's bytes to
 		// rank 1 again.
 		for d := 0; d < np; d++ {
 			for i := 0; i < 4; i++ {
@@ -529,11 +529,15 @@ func TestAlltoallvOverlappingDisplsNotCacheConfused(t *testing.T) {
 		for s := 0; s < np; s++ {
 			for i := 0; i < 4; i++ {
 				if got := rbuf[4*s+i]; got != byte(0x20+16*s+me) {
-					t.Errorf("rank %d: disjoint call got %#x from %d, want %#x (stale aliased rebind?)",
+					t.Errorf("rank %d: disjoint call got %#x from %d, want %#x (stale aliased binding?)",
 						me, got, s, 0x20+16*s+me)
 					return
 				}
 			}
+		}
+		if compiles, hits := c.SchedCacheStats(); compiles != 1 || hits != 1 {
+			t.Errorf("rank %d: compiles/hits = %d/%d, want 1/1 (one plan for both layouts)",
+				me, compiles, hits)
 		}
 	})
 	if err != nil {
@@ -541,11 +545,11 @@ func TestAlltoallvOverlappingDisplsNotCacheConfused(t *testing.T) {
 	}
 }
 
-// TestAlltoallvBytesAliasedSendsBypassCache: aliased send views (the
-// workspace-reuse idiom) must not poison the cache for a later same-length
-// call with disjoint blocks — aliased layouts compile throwaway schedules;
-// aliased receive views panic.
-func TestAlltoallvBytesAliasedSendsBypassCache(t *testing.T) {
+// TestAlltoallvBytesAliasedSendsHitCache: aliased send views (the
+// workspace-reuse idiom) and a later same-length call with disjoint blocks
+// share one cached plan, each moving its own blocks; aliased receive views
+// panic.
+func TestAlltoallvBytesAliasedSendsHitCache(t *testing.T) {
 	const np = 2
 	_, err := Run(xeonCfg(np, cluster.MPICH2NmadIB()), func(c *Comm) {
 		me := c.Rank()
@@ -572,7 +576,7 @@ func TestAlltoallvBytesAliasedSendsBypassCache(t *testing.T) {
 		}
 
 		// Call 2: same lengths, disjoint blocks with distinct content. A
-		// stale rebind of call 1's schedule would resend block 0 to rank 1.
+		// plan bound to call 1's memory would resend block 0 to rank 1.
 		send := make([][]byte, np)
 		for d := 0; d < np; d++ {
 			send[d] = make([]byte, 4)
@@ -584,10 +588,14 @@ func TestAlltoallvBytesAliasedSendsBypassCache(t *testing.T) {
 		c.AlltoallvBytes(send, recv)
 		for s := 0; s < np; s++ {
 			if got := recv[s][0]; got != byte(0x50+16*s+me) {
-				t.Errorf("rank %d: disjoint call got %#x from %d, want %#x (stale aliased rebind?)",
+				t.Errorf("rank %d: disjoint call got %#x from %d, want %#x (stale aliased binding?)",
 					me, got, s, 0x50+16*s+me)
 				return
 			}
+		}
+		if compiles, hits := c.SchedCacheStats(); compiles != 1 || hits != 1 {
+			t.Errorf("rank %d: compiles/hits = %d/%d, want 1/1 (one plan for both layouts)",
+				me, compiles, hits)
 		}
 
 		// Aliased receive blocks are rejected.
